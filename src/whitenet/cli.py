@@ -35,7 +35,7 @@ from .errors import (
     StateError,
 )
 from .evaluation import aggregate, emit, emit_comparison, evaluate
-from .losses import _ljb2d_value_grad_numpy, _ljb_value_grad_numpy
+from .losses import _ljb2d_value_grad_numpy
 from .nn import load_checkpoint
 from .simulators import SYSTEMS, default_params
 from .training import TrainConfig, load_run, prepare_data, run_matrix
@@ -312,18 +312,15 @@ def _time_call(func, reps):
 
 
 def cmd_bench(args):
-    from .losses import _ljb2d_value_grad, _ljb_value_grad
+    from .losses import _ljb2d_value_grad
     from .simulators import _rollup_double_pendulum, _rollup_double_pendulum_py
 
     rng = np.random.default_rng(0)
-    rows = rng.normal(size=(args.rows, args.n))
-    img = rng.normal(size=(args.n, args.n))
+    img = rng.normal(size=(args.rows, args.n))
     s0 = np.array([np.pi / 2, 0.0, np.pi / 2, 0.0])
     dp_args = (s0, args.steps, 1.0, 1.0, 1.0, 1.0, 9.81, 0.01)
 
     cases = [
-        ("ljb_value_grad", lambda: _ljb_value_grad_numpy(rows, 5, 1e-8),
-         lambda: _ljb_value_grad(rows, 5, 1e-8)),
         ("ljb2d_value_grad", lambda: _ljb2d_value_grad_numpy(img, 2, 1e-8),
          lambda: _ljb2d_value_grad(img, 2, 1e-8)),
         ("dp_rollout", lambda: _rollup_double_pendulum_py(*dp_args),
@@ -417,8 +414,10 @@ def build_parser():
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("bench", help="time accelerated kernels vs references")
-    p.add_argument("--rows", type=int, default=512)
-    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--rows", type=int, default=200,
+                   help="rows of the 2-D residual image")
+    p.add_argument("--n", type=int, default=200,
+                   help="columns of the 2-D residual image")
     p.add_argument("--steps", type=int, default=20000)
     p.add_argument("--reps", type=int, default=5)
     p.set_defaults(func=cmd_bench)

@@ -22,11 +22,21 @@ The 2-D variant correlates an (H, W) residual image at integer lag pairs
 (p, q), weighting each squared correlation by the overlap count
 (H - p)(W - q) in place of the 1-D (n - k).
 
-Hot kernels are numba-jitted loop builds with vectorized numpy fallbacks
-(see :mod:`whitenet.accel`); both builds are exported for the benchmark and
-cross-checked in the tests.
+The 1-D statistic has one numpy kernel, used by :func:`ljb_loss`,
+:func:`ljb_statistic`, :func:`composite_loss` and :func:`composite_value`.
+It takes every residual row of a batch at once; the composite losses write
+the residual of every channel once, channel-major, so one call covers all
+channels, with a short loop over lags inside.  Each row goes through the
+same floating-point operations in the same order as a one-channel
+evaluation of the formula, so stacking channels changes no bit of the loss
+or of its gradient.  The value-only path, used by :func:`composite_value`
+for validation, builds no gradient arrays and returns the same bits as
+:func:`composite_loss`.  The 2-D kernel still has a numba-jitted loop build
+next to its numpy build (see :mod:`whitenet.accel`).
 """
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,84 +121,109 @@ def autocorr_1d_per_lag(r, lags, epsilon=1e-8, subtract_mean=False):
 
 
 # ---------------------------------------------------------------------------
-# 1-D Ljung-Box kernels: loop build (numba) and vectorized numpy build.
-# Both return (mean statistic, gradient of the mean statistic w.r.t. r).
+# The 1-D Ljung-Box kernel, shared by the loss, the statistic and the
+# composite loss over every channel of a batch.
 
-def _ljb_value_grad_numpy(r, lags, epsilon):
-    b, n = r.shape
+def _ljb_kernel(r, lags, epsilon, batch=None):
+    """Per-row Ljung-Box statistic of the residual rows ``r``, ``(rows, n)``.
+
+    Returns ``(stat, grad)``: ``stat`` has one entry per row.  With ``batch``
+    set, ``grad`` is the ``(rows, n)`` gradient of each group of ``batch``
+    rows' mean statistic; without it (the value-only path) no gradient array
+    is built and ``grad`` is None.
+
+    Each row goes through the same floating-point operations, in the same
+    order, as when the formula is evaluated for one channel's rows alone, so
+    results do not depend on how many rows or channels are stacked.  That is
+    why each lag keeps its own ``np.sum`` over its ``n - k`` products along
+    the fast axis (``r`` must be row-major), and why sums over lags run
+    left to right.
+    """
+    rows, n = r.shape
     coef = float(n * (n + 2))
     s = np.sum(r * r, axis=1) + epsilon
-    stat = np.zeros(b)
-    grad = np.zeros_like(r)
+    c = np.empty((lags, rows))
     for k in range(1, lags + 1):
-        c = np.sum(r[:, k:] * r[:, :n - k], axis=1)
-        rho = c / s
-        stat += coef * rho * rho / (n - k)
-        w = 2.0 * coef * rho / ((n - k) * s)
-        grad[:, k:] += w[:, None] * r[:, :n - k]
-        grad[:, :n - k] += w[:, None] * r[:, k:]
-    grad -= (4.0 * stat / s)[:, None] * r
-    grad /= b
-    return float(np.mean(stat)), grad
+        np.sum(r[:, k:] * r[:, :n - k], axis=1, out=c[k - 1])
+    rho = c / s
+    n_minus_k = np.arange(n - 1.0, n - lags - 1.0, -1.0)[:, None]
+    stat = np.cumsum(coef * rho * rho / n_minus_k, axis=0)[-1]
+    if batch is None:
+        return stat, None
+    # grad_t = sum_k w_k (r_{t-k} + r_{t+k}) - 4 stat r_t / s, accumulated
+    # time-major, where each shift by k is a contiguous slice of whole rows
+    w = (2.0 * coef) * rho / (n_minus_k * s)
+    rt = np.ascontiguousarray(r.T)
+    grad = np.zeros((n, rows))
+    for k in range(1, lags + 1):
+        grad[k:] += w[k - 1] * rt[:n - k]
+        grad[:n - k] += w[k - 1] * rt[k:]
+    grad -= (4.0 * stat / s) * rt
+    grad /= batch
+    return stat, grad.T
 
 
-@njit(cache=True)
-def _ljb_value_grad_loop(r, lags, epsilon):  # pragma: no cover - jitted
-    b, n = r.shape
-    coef = float(n * (n + 2))
-    stat_sum = 0.0
-    grad = np.zeros((b, n))
-    for i in range(b):
-        s = epsilon
-        for t in range(n):
-            s += r[i, t] * r[i, t]
-        stat = 0.0
-        for k in range(1, lags + 1):
-            c = 0.0
-            for t in range(k, n):
-                c += r[i, t] * r[i, t - k]
-            rho = c / s
-            stat += coef * rho * rho / (n - k)
-            w = 2.0 * coef * rho / ((n - k) * s)
-            for t in range(k, n):
-                grad[i, t] += w * r[i, t - k]
-                grad[i, t - k] += w * r[i, t]
-        for t in range(n):
-            grad[i, t] -= 4.0 * stat * r[i, t] / s
-        stat_sum += stat
-    inv_b = 1.0 / b
-    for i in range(b):
-        for t in range(n):
-            grad[i, t] *= inv_b
-    return stat_sum * inv_b, grad
-
-
-_ljb_value_grad = _ljb_value_grad_loop if NUMBA_ENABLED else _ljb_value_grad_numpy
+def _check_lags(r, lags):
+    r = _check_residuals(r)
+    if lags >= r.shape[1]:
+        raise DomainError(f"lags {lags} must be < window length {r.shape[1]}")
+    return r
 
 
 def ljb_statistic(r, cfg):
     """Batch-averaged Ljung-Box statistic of residual rows (value only)."""
-    r = _check_residuals(r)
-    n = r.shape[1]
-    if cfg.lags >= n:
-        raise DomainError(f"lags {cfg.lags} must be < window length {n}")
-    coef = float(n * (n + 2))
-    s = np.sum(r * r, axis=1) + cfg.epsilon
-    stat = np.zeros(r.shape[0])
-    for k in range(1, cfg.lags + 1):
-        rho = np.sum(r[:, k:] * r[:, :n - k], axis=1) / s
-        stat += coef * rho * rho / (n - k)
+    r = _check_lags(r, cfg.lags)
+    stat, _ = _ljb_kernel(r, cfg.lags, cfg.epsilon)
     return float(np.mean(stat))
 
 
 def ljb_loss(r, cfg):
     """Ljung-Box statistic and its exact gradient w.r.t. every residual."""
-    r = _check_residuals(r)
-    n = r.shape[1]
-    if cfg.lags >= n:
-        raise DomainError(f"lags {cfg.lags} must be < window length {n}")
-    loss, grad = _ljb_value_grad(r, cfg.lags, cfg.epsilon)
-    return loss, grad
+    r = _check_lags(r, cfg.lags)
+    stat, grad = _ljb_kernel(r, cfg.lags, cfg.epsilon, batch=r.shape[0])
+    return float(np.mean(stat)), grad
+
+
+def _check_pair(pred, target, cfg, n_channels):
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape:
+        raise ShapeError(f"pred shape {pred.shape} != target shape {target.shape}")
+    if pred.shape[1] % n_channels != 0:
+        raise ShapeError(
+            f"width {pred.shape[1]} not divisible by n_channels {n_channels}")
+    lf = pred.shape[1] // n_channels
+    if cfg.lam != 0.0 and lf < cfg.lags + 1:
+        raise DomainError(f"lookforward {lf} too small for {cfg.lags} lags")
+    return pred, target
+
+
+def _whitening(pred, target, cfg, n_channels, with_grad):
+    """Per-channel penalty terms lambda/d * mean statistic, and their gradient.
+
+    The residual is written once, channel-major (row = channel * batch + i),
+    so the kernel takes every channel in one call.  The gradient comes back
+    as a ``(batch, lf, n_channels)`` view matching the step-major layout.
+    """
+    b, width = pred.shape
+    lf = width // n_channels
+    scale = cfg.lam / n_channels
+    resid = np.empty((n_channels, b, lf))
+    np.subtract(pred.reshape(b, lf, n_channels).transpose(2, 0, 1),
+                target.reshape(b, lf, n_channels).transpose(2, 0, 1), out=resid)
+    stat, grad = _ljb_kernel(resid.reshape(n_channels * b, lf), cfg.lags,
+                             cfg.epsilon, b if with_grad else None)
+    terms = scale * stat.reshape(n_channels, b).mean(axis=1)
+    if grad is not None:
+        # grad.T is the kernel's time-major array: (lf, channel, batch)
+        grad = (scale * grad.T).reshape(lf, n_channels, b).transpose(2, 0, 1)
+    return terms, grad
+
+
+def _add_terms(loss, terms):
+    # left to right from the MSE, channel by channel, so the value does not
+    # depend on how the channels are stacked
+    return functools.reduce(operator.add, terms.tolist(), loss)
 
 
 def composite_loss(pred, target, cfg, n_channels=1):
@@ -198,27 +233,24 @@ def composite_loss(pred, target, cfg, n_channels=1):
     layout column = step * n_channels + channel.  With ``lam == 0`` the result
     is bit-identical to :func:`mse`.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeError(f"pred shape {pred.shape} != target shape {target.shape}")
-    if pred.shape[1] % n_channels != 0:
-        raise ShapeError(
-            f"width {pred.shape[1]} not divisible by n_channels {n_channels}")
-    lf = pred.shape[1] // n_channels
+    pred, target = _check_pair(pred, target, cfg, n_channels)
     loss, grad = mse(pred, target)
     if cfg.lam == 0.0:
         return loss, grad
-    if lf < cfg.lags + 1:
-        raise DomainError(f"lookforward {lf} too small for {cfg.lags} lags")
-    resid = pred - target
-    scale = cfg.lam / n_channels
-    for m in range(n_channels):
-        rm = np.ascontiguousarray(resid[:, m::n_channels])
-        lv, lg = _ljb_value_grad(rm, cfg.lags, cfg.epsilon)
-        loss += scale * lv
-        grad[:, m::n_channels] += scale * lg
-    return loss, grad
+    terms, pgrad = _whitening(pred, target, cfg, n_channels, with_grad=True)
+    grad.reshape(pgrad.shape)[...] += pgrad
+    return _add_terms(loss, terms), grad
+
+
+def composite_value(pred, target, cfg, n_channels=1):
+    """The value of :func:`composite_loss`, bit for bit, without gradients."""
+    pred, target = _check_pair(pred, target, cfg, n_channels)
+    diff = pred - target
+    loss = float(np.mean(diff * diff))   # the same expression as mse
+    if cfg.lam == 0.0:
+        return loss
+    terms, _ = _whitening(pred, target, cfg, n_channels, with_grad=False)
+    return _add_terms(loss, terms)
 
 
 # ---------------------------------------------------------------------------

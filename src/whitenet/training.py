@@ -24,7 +24,7 @@ from .datasets import (
     write_manifest,
 )
 from .errors import ConfigError, DivergenceError, ShapeError
-from .losses import LossConfig, composite_loss
+from .losses import LossConfig, composite_loss, composite_value
 from .nn import build_specs, init_model, save_checkpoint
 from .numerics import RngState
 
@@ -161,7 +161,8 @@ def dataset_loss(model, ds, loss_cfg, chunk=2048):
     """Composite loss of the model over a whole dataset, eval mode, exact.
 
     Chunked row-wise; both loss terms are means over rows, so the weighted
-    combination equals the single-pass value.
+    combination equals the single-pass value.  Uses the value-only path of
+    the loss, which builds no gradient arrays.
     """
     model.set_mode("eval")
     total = 0.0
@@ -169,8 +170,8 @@ def dataset_loss(model, ds, loss_cfg, chunk=2048):
         xb = ds.inputs[start:start + chunk]
         yb = ds.targets[start:start + chunk]
         pred, _ = model.forward(xb)
-        loss, _ = composite_loss(pred, yb, loss_cfg, n_channels=ds.d_out)
-        total += loss * xb.shape[0]
+        total += composite_value(pred, yb, loss_cfg,
+                                 n_channels=ds.d_out) * xb.shape[0]
     return total / ds.n
 
 
@@ -217,8 +218,11 @@ def fit(model, train, val, cfg, checkpoint_dir=None, run_name="run"):
             xb = train.inputs[idx]
             yb = train.targets[idx]
             pred, cache = model.forward(xb, rng=dropout_rng)
-            loss, dloss = composite_loss(pred, yb, loss_cfg,
-                                         n_channels=train.d_out)
+            # a diverging fit overflows here; the non-finite loss is
+            # reported below as DivergenceError, not as RuntimeWarnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, dloss = composite_loss(pred, yb, loss_cfg,
+                                             n_channels=train.d_out)
             if not np.isfinite(loss):
                 raise DivergenceError(epoch, "composite")
             model.zero_grads()
@@ -227,7 +231,8 @@ def fit(model, train, val, cfg, checkpoint_dir=None, run_name="run"):
                       grad_clip=cfg.grad_clip)
             epoch_loss += loss
         record.train_losses.append(epoch_loss / n_batches)
-        val_loss = dataset_loss(model, val, loss_cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val_loss = dataset_loss(model, val, loss_cfg)
         if not np.isfinite(val_loss):
             raise DivergenceError(epoch, "validation composite")
         record.val_losses.append(val_loss)

@@ -136,6 +136,17 @@ def test_train_divergence_exits_1_with_record(tmp_path):
     assert "diverged" in record["error"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_divergence_warns_nothing(tmp_path):
+    # the overflow to inf/NaN surfaces as DivergenceError, not as numpy noise
+    code = _train(tmp_path, "--seed", "1", "--lr", "1e200",
+                  "--grad-clip", "1e300")
+    assert code == 1
+    record = json.loads(
+        (tmp_path / "pendulum_dense_lam1_seed1" / "record.json").read_text())
+    assert "diverged" in record["error"]
+
+
 # ---------------------------------------------------------------------------
 # eval
 

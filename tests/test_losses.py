@@ -7,12 +7,11 @@ from whitenet.losses import (
     LossConfig,
     _ljb2d_value_grad_loop,
     _ljb2d_value_grad_numpy,
-    _ljb_value_grad_loop,
-    _ljb_value_grad_numpy,
     autocorr_1d,
     autocorr_1d_per_lag,
     autocorr_2d,
     composite_loss,
+    composite_value,
     ljb_loss,
     ljb_loss_2d,
     ljb_statistic,
@@ -21,6 +20,36 @@ from whitenet.losses import (
 from whitenet.numerics import RngState
 
 TINY = LossConfig(lags=5, epsilon=1e-300)
+
+
+def _ljb_reference(r, lags, epsilon):
+    """Reference: the module docstring's formula, one row and one lag at a time.
+
+    Returns the batch-mean statistic and its gradient w.r.t. ``r``.
+    """
+    b, n = r.shape
+    coef = float(n * (n + 2))
+    stat_sum = 0.0
+    grad = np.zeros((b, n))
+    for i in range(b):
+        s = epsilon
+        for t in range(n):
+            s += r[i, t] * r[i, t]
+        stat = 0.0
+        for k in range(1, lags + 1):
+            c = 0.0
+            for t in range(k, n):
+                c += r[i, t] * r[i, t - k]
+            rho = c / s
+            stat += coef * rho * rho / (n - k)
+            w = 2.0 * coef * rho / ((n - k) * s)
+            for t in range(k, n):
+                grad[i, t] += w * r[i, t - k]
+                grad[i, t - k] += w * r[i, t]
+        for t in range(n):
+            grad[i, t] -= 4.0 * stat * r[i, t] / s
+        stat_sum += stat
+    return stat_sum / b, grad / b
 
 
 def test_loss_config_validation():
@@ -122,11 +151,63 @@ def test_ljb_loss_zero_residuals():
 
 
 def test_ljb_dual_builds_agree():
-    r = RngState(5).normal(size=(6, 15))
-    lv, lg = _ljb_value_grad_loop(r, 5, 1e-8)
-    nv, ng = _ljb_value_grad_numpy(r, 5, 1e-8)
-    assert abs(lv - nv) < 1e-10 * max(1.0, abs(nv))
-    assert np.allclose(lg, ng, rtol=1e-10, atol=1e-12)
+    # the all-channel kernel inside composite_loss against the per-row loop,
+    # channel by channel; n = 6 is the shortest window 5 lags allow
+    cfg = LossConfig(lam=1.0, lags=5, epsilon=1e-8)
+    for d, b, n in [(1, 6, 15), (2, 6, 15), (3, 6, 15), (3, 1, 15), (2, 4, 6)]:
+        resid = RngState(5).normal(size=(b, n * d))
+        target = np.zeros_like(resid)
+        m_loss, m_grad = mse(resid, target)
+        c_loss, c_grad = composite_loss(resid, target, cfg, n_channels=d)
+        ref_value = 0.0
+        ref_grad = np.zeros_like(resid)
+        for m in range(d):
+            lv, lg = _ljb_reference(resid[:, m::d], 5, 1e-8)
+            ref_value += lv / d
+            ref_grad[:, m::d] = lg / d
+        nv = c_loss - m_loss
+        assert abs(ref_value - nv) < 1e-10 * max(1.0, abs(nv))
+        assert np.allclose(ref_grad, c_grad - m_grad, rtol=1e-10, atol=1e-12)
+        if d == 1:
+            nv, ng = ljb_loss(resid, cfg)
+            assert abs(ref_value - nv) < 1e-10 * max(1.0, abs(nv))
+            assert np.allclose(ref_grad, ng, rtol=1e-10, atol=1e-12)
+            assert ljb_statistic(resid, cfg) == nv
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_composite_is_mse_plus_channel_mean_of_ljb_loss(d):
+    cfg = LossConfig(lam=0.3, lags=4)
+    rng = RngState(11)
+    pred = rng.normal(size=(9, 8 * d))
+    target = rng.normal(size=(9, 8 * d))
+    m_loss, m_grad = mse(pred, target)
+    c_loss, c_grad = composite_loss(pred, target, cfg, n_channels=d)
+    value = 0.0
+    grad = np.zeros_like(pred)
+    for m in range(d):
+        lv, lg = ljb_loss(pred[:, m::d] - target[:, m::d], cfg)
+        value += lv
+        grad[:, m::d] = lg
+    assert abs((c_loss - m_loss) - cfg.lam / d * value) < 1e-12
+    assert np.max(np.abs((c_grad - m_grad) - cfg.lam / d * grad)) < 1e-12
+    # stacking the channels in one kernel call changes no bit: the value is
+    # the MSE plus each channel's term, added in channel order
+    exact = m_loss
+    for m in range(d):
+        exact += cfg.lam / d * ljb_loss(pred[:, m::d] - target[:, m::d], cfg)[0]
+    assert c_loss == exact
+    assert np.array_equal(c_grad, m_grad + cfg.lam / d * grad)
+
+
+@pytest.mark.parametrize("lam, d", [(0.0, 3), (0.7, 1), (0.7, 3), (2.0, 2)])
+def test_composite_value_is_composite_loss_value_exactly(lam, d):
+    cfg = LossConfig(lam=lam, lags=5)
+    rng = RngState(12)
+    pred = rng.normal(size=(37, 10 * d))
+    target = rng.normal(size=(37, 10 * d))
+    assert composite_value(pred, target, cfg, n_channels=d) == \
+        composite_loss(pred, target, cfg, n_channels=d)[0]
 
 
 def test_composite_lam_zero_is_mse_bitwise():
