@@ -9,7 +9,8 @@ a pure-numpy fallback.  Which one runs is decided once, at import time:
 
 ``njit`` exported here is either the real decorator or an identity wrapper,
 so kernel modules can decorate unconditionally.  ``whitenet bench`` times the
-two builds against each other; the test suite asserts they agree numerically.
+two builds against each other when numba is enabled, and the numpy build
+alone otherwise; the test suite asserts they agree numerically.
 """
 
 import os

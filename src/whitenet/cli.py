@@ -2,8 +2,8 @@
 
 One executable covers the full pipeline: generate trajectories, train
 single runs or seed matrices, evaluate checkpoints into reports, verify
-every analytic gradient, and time the accelerated kernels against their
-vectorized references.
+every analytic gradient, and time the numba kernels against their
+vectorized references (without numba, only the references are timed).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  Every command is
 deterministic given its flags and seeds, and every output directory carries
@@ -327,7 +327,14 @@ def cmd_bench(args):
          lambda: _rollup_double_pendulum(*dp_args)),
     ]
     print(f"numba enabled: {NUMBA_ENABLED} "
-          f"(set WHITENET_NO_NUMBA=1 to compare the pure-numpy build)")
+          f"(set WHITENET_NO_NUMBA=1 to time the pure-numpy build alone)")
+    if not NUMBA_ENABLED:
+        # Both builds are the same numpy code here, so a ratio would be noise.
+        print(f"{'kernel':<18s} {'numpy':>12s} {'speedup':>9s}")
+        for name, ref, _ in cases:
+            t_ref = _time_call(ref, args.reps)
+            print(f"{name:<18s} {t_ref * 1e3:>10.3f}ms {'n/a':>9s}")
+        return 0
     print(f"{'kernel':<18s} {'reference':>12s} {'accel':>12s} {'speedup':>9s}")
     for name, ref, accel in cases:
         accel()   # trigger any jit compile outside the timed region

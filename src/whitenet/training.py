@@ -25,7 +25,7 @@ from .datasets import (
 )
 from .errors import ConfigError, DivergenceError, ShapeError
 from .losses import LossConfig, composite_loss, composite_value
-from .nn import build_specs, init_model, save_checkpoint
+from .nn import Model, build_specs, save_checkpoint
 from .numerics import RngState
 
 # child-stream tags, so the independent consumers never share a stream
@@ -317,8 +317,8 @@ def _one_run(system, arch, lam, seed, data, cfg_base, lb, lf, out_dir,
         train = data["train"]
         specs, seq_shape = build_specs(arch, lb, train.d_in, lf, train.d_out,
                                        dropout=cfg.dropout)
-        model = init_model(specs, RngState(seed).child(_STREAM_MODEL_INIT),
-                           seq_shape=seq_shape)
+        model = Model(specs, RngState(seed).child(_STREAM_MODEL_INIT),
+                      seq_shape=seq_shape)
         record = fit(model, train, data["val"], cfg,
                      checkpoint_dir=run_dir, run_name="checkpoint")
         record.config["run_name"] = name

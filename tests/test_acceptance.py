@@ -31,6 +31,8 @@ from whitenet.simulators import (
 )
 from whitenet.training import TrainConfig, prepare_data, run_matrix
 
+pytestmark = pytest.mark.acceptance
+
 SEEDS = [1, 2, 3, 4, 5]
 CFG = TrainConfig(max_epochs=200, dropout=0.0, lr0=0.02)
 # Whitening weights found during bring-up: strong enough to whiten residuals,

@@ -3,11 +3,12 @@
 import filecmp
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from whitenet import losses
+from whitenet import cli, losses
 from whitenet.cli import main
 from whitenet.datasets import csv_ingest
 from whitenet.evaluation import load_report
@@ -229,6 +230,29 @@ def test_gradcheck_wrong_gradient_exits_nonzero(monkeypatch):
 def test_bench_runs():
     assert main(["bench", "--rows", "16", "--n", "24", "--steps", "60",
                  "--reps", "1"]) == 0
+
+
+_BENCH_SMALL = ["bench", "--rows", "16", "--n", "24", "--steps", "60", "--reps", "1"]
+
+
+def test_bench_without_numba_prints_no_speedup(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "NUMBA_ENABLED", False)
+    assert main(_BENCH_SMALL) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [r.split()[0] for r in rows] == ["ljb2d_value_grad", "dp_rollout"]
+    for row in rows:
+        assert row.split()[-1] == "n/a"
+        assert len(re.findall(r"\d+\.\d+ms", row)) == 1
+        assert not re.search(r"\d+\.\dx", row)
+
+
+def test_bench_with_numba_prints_speedup(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "NUMBA_ENABLED", True)
+    assert main(_BENCH_SMALL) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 2
+    for row in rows:
+        assert re.fullmatch(r"\S+\s+\d+\.\d+ms\s+\d+\.\d+ms\s+\d+\.\dx", row)
 
 
 def test_out_root_from_environment(tmp_path, monkeypatch):

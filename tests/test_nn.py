@@ -7,11 +7,12 @@ from whitenet.nn import (
     Dense,
     DenseSpec,
     DropoutSpec,
+    LstmCell,
     LstmSpec,
     Model,
     RnnSpec,
+    _sigmoid,
     build_specs,
-    init_model,
     load_checkpoint,
     save_checkpoint,
     spec_from_dict,
@@ -51,7 +52,7 @@ def _param_fd_worst(model, x, target):
 def test_param_gradients_match_fd(arch):
     rng = RngState(7)
     specs, seq_shape = build_specs(arch, 4, 3, 2, 2, hidden=5)
-    model = init_model(specs, rng, seq_shape=seq_shape)
+    model = Model(specs, rng, seq_shape=seq_shape)
     model.set_mode("eval")
     x = RngState(8).normal(size=(6, 12))
     target = RngState(9).normal(size=(6, 4))
@@ -71,7 +72,7 @@ def test_dense_activations_gradient(activation):
 def test_input_gradient_matches_fd():
     rng = RngState(3)
     specs, seq_shape = build_specs("lstm", 4, 3, 2, 2, hidden=5)
-    model = init_model(specs, rng, seq_shape=seq_shape)
+    model = Model(specs, rng, seq_shape=seq_shape)
     model.set_mode("eval")
     x = RngState(11).normal(size=(5, 12))
     target = RngState(12).normal(size=(5, 4))
@@ -103,7 +104,7 @@ def test_dense_hand_gradient():
 def test_init_scale_and_zero_biases():
     rng = RngState(100)
     specs, seq_shape = build_specs("rnn", 10, 3, 10, 3, hidden=24)
-    model = init_model(specs, rng, seq_shape=seq_shape)
+    model = Model(specs, rng, seq_shape=seq_shape)
     cell = model.layers[0]
     assert np.max(np.abs(cell.wx.value)) <= 1.0 / np.sqrt(3)
     assert np.max(np.abs(cell.wh.value)) <= 1.0 / np.sqrt(24)
@@ -116,6 +117,117 @@ def test_param_count_lstm():
     model = Model(specs, RngState(1), seq_shape=seq_shape)
     assert model.param_count() == 4 * (3 * 24 + 24 * 24 + 24) + (24 * 4 + 4)
 
+
+def _sigmoid_reference(z):
+    """Masked two-branch logistic: ``_sigmoid`` must match it bit for bit."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _lstm_reference(wx, wh, b, x, dout):
+    """Reference LSTM: one sigmoid call per gate and an ``hstack`` of the four
+    gate gradients per step.  Returns ``(hs, dx, gwx, gwh, gb, zs)``, where
+    ``zs`` holds every step's pre-activations."""
+    batch, steps, _ = x.shape
+    hid = wh.shape[0]
+    h = np.zeros((batch, hid))
+    c = np.zeros((batch, hid))
+    hs = np.zeros((batch, steps, hid))
+    gates, cells, zs = [], [], []
+    for t in range(steps):
+        z = x[:, t, :] @ wx + h @ wh + b
+        i = _sigmoid_reference(z[:, :hid])
+        f = _sigmoid_reference(z[:, hid:2 * hid])
+        o = _sigmoid_reference(z[:, 2 * hid:3 * hid])
+        g = np.tanh(z[:, 3 * hid:])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        hs[:, t, :] = h
+        gates.append((i, f, o, g))
+        cells.append(c)
+        zs.append(z)
+    gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
+    dx = np.zeros_like(x)
+    dh_carry = np.zeros((batch, hid))
+    dc_carry = np.zeros((batch, hid))
+    for t in range(steps - 1, -1, -1):
+        i, f, o, g = gates[t]
+        c = cells[t]
+        prev_c = cells[t - 1] if t > 0 else np.zeros((batch, hid))
+        prev_h = hs[:, t - 1, :] if t > 0 else np.zeros((batch, hid))
+        dh = dout[:, t, :] + dh_carry
+        tanh_c = np.tanh(c)
+        dc = dc_carry + dh * o * (1.0 - tanh_c * tanh_c)
+        di = dc * g
+        df = dc * prev_c
+        do = dh * tanh_c
+        dg = dc * i
+        dz = np.hstack((
+            di * i * (1.0 - i),
+            df * f * (1.0 - f),
+            do * o * (1.0 - o),
+            dg * (1.0 - g * g),
+        ))
+        gwx += x[:, t, :].T @ dz
+        gwh += prev_h.T @ dz
+        gb += dz.sum(axis=0, keepdims=True)
+        dx[:, t, :] = dz @ wx.T
+        dh_carry = dz @ wh.T
+        dc_carry = dc * f
+    return hs, dx, gwx, gwh, gb, np.stack(zs)
+
+
+def test_sigmoid_matches_reference_exactly():
+    z = np.array([[0.0, -0.0, 30.0, -30.0, 800.0, -800.0, 1e-300, -1e-300,
+                   np.inf, -np.inf, np.nan, -np.nan]])
+    z = np.vstack((z, RngState(4).normal(size=(3, 12)) * 40.0))
+    with np.errstate(invalid="ignore"):
+        got, want = _sigmoid(z), _sigmoid_reference(z)
+    # compare bit patterns: signed zeros and NaN payloads must match too
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# (batch, steps, d_in, hidden, weight scale, bias pattern)
+_LSTM_CASES = [
+    (1, 10, 3, 24, 1.0, None),
+    (128, 10, 3, 1, 1.0, None),
+    (128, 10, 3, 24, 1.0, None),
+    (128, 10, 3, 24, 1000.0, None),
+    (32, 6, 2, 5, 0.0, (0.0, 30.0, -30.0, 800.0, -800.0)),
+    (16, 5, 2, 5, 0.01, (30.0, -30.0, 800.0, -800.0)),
+]
+
+
+@pytest.mark.parametrize("batch,steps,d_in,hid,scale,bias", _LSTM_CASES)
+def test_lstm_matches_reference_exactly(batch, steps, d_in, hid, scale, bias):
+    cell = LstmCell(LstmSpec(d_in, hid), "L", RngState(batch + hid))
+    cell.wx.value *= scale
+    cell.wh.value *= scale
+    if bias is not None:
+        cell.b.value[...] = np.resize(bias, 4 * hid)
+    x = RngState(1).normal(size=(batch, steps, d_in))
+    dout = RngState(2).normal(size=(batch, steps, hid))
+    hs_ref, dx_ref, gwx, gwh, gb, zs = _lstm_reference(
+        cell.wx.value, cell.wh.value, cell.b.value, x, dout)
+    hs, cache = cell.forward(x, None)
+    dx = cell.backward(cache, dout)
+    assert np.array_equal(hs, hs_ref)
+    assert np.array_equal(dx, dx_ref)
+    assert np.array_equal(cell.wx.grad, gwx)
+    assert np.array_equal(cell.wh.grad, gwh)
+    assert np.array_equal(cell.b.grad, gb)
+    if scale == 0.0:
+        assert np.any(zs == 0.0)
+    if bias is not None or scale > 1.0:
+        # both sigmoid branches, saturated (|z| ~ 30) and exp-underflowing
+        # (|z| > 745) pre-activations are exercised
+        for lo, hi in ((29.0, 31.0), (-31.0, -29.0), (745.0, np.inf),
+                       (-np.inf, -745.0)):
+            assert np.any((zs >= lo) & (zs <= hi))
 
 def test_dropout_train_statistics():
     model = Model(build_specs("dense", 4, 3, 2, 2, hidden=8, dropout=0.3)[0],
