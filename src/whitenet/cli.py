@@ -158,6 +158,9 @@ def cmd_train(args):
     else:
         lam = float(cfg["lam"])
     seeds = [int(s) for s in cfg["seeds"]]
+    jobs = cfg["jobs"]
+    if not isinstance(jobs, int) or jobs < 1:
+        raise UsageError(f"--jobs must be an integer >= 1, got {jobs!r}")
     try:
         base = TrainConfig(
             lr0=cfg["lr"], batch=cfg["batch"], max_epochs=cfg["epochs"],
@@ -173,7 +176,7 @@ def cmd_train(args):
     records = run_matrix(
         systems=[cfg["system"]], archs=[cfg["arch"]], lams=[lam], seeds=seeds,
         cfg_base=base, lb=cfg["lb"], lf=cfg["lf"], data_seed=cfg["data_seed"],
-        out_dir=out_dir, jobs=cfg["jobs"])
+        out_dir=out_dir, jobs=jobs)
     manifest = dict(cfg)
     manifest.pop("out", None)   # self-referential; keeps artifacts portable
     manifest.update({"command": "train", "lam": lam, "seeds": seeds})
@@ -234,6 +237,10 @@ def _eval_one_dir(run_dir, data_cache, lags_override=None):
 
 
 def cmd_eval(args):
+    for run_dir in args.run_dirs:
+        # a shell glob over a train output also matches its matrix JSON
+        if os.path.exists(run_dir) and not os.path.isdir(run_dir):
+            raise UsageError(f"{run_dir} is not a run directory")
     data_cache = {}
     by_config = {}
     for run_dir in args.run_dirs:
@@ -388,7 +395,9 @@ def build_parser():
     group.add_argument("--seed", dest="seeds", type=lambda s: [int(s)],
                        default=None)
     group.add_argument("--seeds", dest="seeds", type=_seed_list, default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None,
+                   help="train up to N seeds at once as one stacked model "
+                        "(default 1: one at a time); memory grows with N")
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)

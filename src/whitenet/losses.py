@@ -25,14 +25,15 @@ The 2-D variant correlates an (H, W) residual image at integer lag pairs
 The 1-D statistic has one numpy kernel, used by :func:`ljb_loss`,
 :func:`ljb_statistic`, :func:`composite_loss` and :func:`composite_value`.
 It takes every residual row of a batch at once; the composite losses write
-the residual of every channel once, channel-major, so one call covers all
-channels, with a short loop over lags inside.  Each row goes through the
-same floating-point operations in the same order as a one-channel
-evaluation of the formula, so stacking channels changes no bit of the loss
-or of its gradient.  The value-only path, used by :func:`composite_value`
-for validation, builds no gradient arrays and returns the same bits as
-:func:`composite_loss`.  The 2-D kernel still has a numba-jitted loop build
-next to its numpy build (see :mod:`whitenet.accel`).
+the residual of every channel (and of every member of a stacked model)
+once, channel-major, so one call covers them all, with a short loop over
+lags inside.  Each row goes through the same floating-point operations in
+the same order as a one-channel evaluation of the formula, so stacking
+channels or members changes no bit of the loss or of its gradient.  The
+value-only path, used by :func:`composite_value` for validation, builds no
+gradient arrays and returns the same bits as :func:`composite_loss`.  The
+2-D kernel still has a numba-jitted loop build next to its numpy build (see
+:mod:`whitenet.accel`).
 """
 
 import functools
@@ -86,32 +87,12 @@ def mse(pred, target):
     return loss, grad
 
 
-def autocorr_1d(r, k, epsilon=1e-8):
-    """Energy-normalized lag-``k`` autocorrelation, averaged over rows."""
-    r = _check_residuals(r)
-    n = r.shape[1]
-    if not 0 <= k < n:
-        raise DomainError(f"lag {k} out of range for window length {n}")
-    s = np.sum(r * r, axis=1) + epsilon
-    if k == 0:
-        c = np.sum(r * r, axis=1)
-    else:
-        c = np.sum(r[:, k:] * r[:, :n - k], axis=1)
-    return float(np.mean(c / s))
-
-
-def autocorr_1d_per_lag(r, lags, epsilon=1e-8, subtract_mean=False):
-    """Batch-averaged rho_k for k = 1..lags as an array (diagnostic helper).
-
-    ``subtract_mean`` removes each row's mean first; the loss itself never
-    does, but the evaluation report can request the centered variant.
-    """
+def autocorr_1d_per_lag(r, lags, epsilon=1e-8):
+    """Batch-averaged rho_k for k = 1..lags as an array (diagnostic helper)."""
     r = _check_residuals(r)
     n = r.shape[1]
     if not 1 <= lags < n:
         raise DomainError(f"lags {lags} out of range for window length {n}")
-    if subtract_mean:
-        r = r - r.mean(axis=1, keepdims=True)
     s = np.sum(r * r, axis=1) + epsilon
     out = np.empty(lags)
     for k in range(1, lags + 1):
@@ -187,43 +168,58 @@ def ljb_loss(r, cfg):
 def _check_pair(pred, target, cfg, n_channels):
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
+    # a target without the member axes is shared by every member
+    if target.ndim < 2 or pred.shape[pred.ndim - target.ndim:] != target.shape:
         raise ShapeError(f"pred shape {pred.shape} != target shape {target.shape}")
-    if pred.shape[1] % n_channels != 0:
+    if pred.shape[-1] % n_channels != 0:
         raise ShapeError(
-            f"width {pred.shape[1]} not divisible by n_channels {n_channels}")
-    lf = pred.shape[1] // n_channels
+            f"width {pred.shape[-1]} not divisible by n_channels {n_channels}")
+    lf = pred.shape[-1] // n_channels
     if cfg.lam != 0.0 and lf < cfg.lags + 1:
         raise DomainError(f"lookforward {lf} too small for {cfg.lags} lags")
     return pred, target
 
 
+def _channel_major(a, n_channels):
+    # (..., batch, lf * n_channels) step-major -> (..., channel, batch, lf)
+    return a.reshape(a.shape[:-1] + (-1, n_channels)).swapaxes(-1, -3) \
+        .swapaxes(-1, -2)
+
+
 def _whitening(pred, target, cfg, n_channels, with_grad):
     """Per-channel penalty terms lambda/d * mean statistic, and their gradient.
 
-    The residual is written once, channel-major (row = channel * batch + i),
-    so the kernel takes every channel in one call.  The gradient comes back
-    as a ``(batch, lf, n_channels)`` view matching the step-major layout.
+    The residual is written once, channel-major (row = (member, channel, i)),
+    so the kernel takes every member and channel in one call.  The terms
+    have shape ``(..., n_channels)``; the gradient comes back as a
+    ``(..., batch, lf, n_channels)`` view matching the step-major layout.
     """
-    b, width = pred.shape
+    *lead, b, width = pred.shape
     lf = width // n_channels
     scale = cfg.lam / n_channels
-    resid = np.empty((n_channels, b, lf))
-    np.subtract(pred.reshape(b, lf, n_channels).transpose(2, 0, 1),
-                target.reshape(b, lf, n_channels).transpose(2, 0, 1), out=resid)
-    stat, grad = _ljb_kernel(resid.reshape(n_channels * b, lf), cfg.lags,
-                             cfg.epsilon, b if with_grad else None)
-    terms = scale * stat.reshape(n_channels, b).mean(axis=1)
+    resid = np.empty((*lead, n_channels, b, lf))
+    np.subtract(_channel_major(pred, n_channels),
+                _channel_major(target, n_channels), out=resid)
+    stat, grad = _ljb_kernel(resid.reshape(-1, lf), cfg.lags, cfg.epsilon,
+                             b if with_grad else None)
+    terms = scale * stat.reshape(resid.shape[:-1]).mean(axis=-1)
     if grad is not None:
-        # grad.T is the kernel's time-major array: (lf, channel, batch)
-        grad = (scale * grad.T).reshape(lf, n_channels, b).transpose(2, 0, 1)
+        # grad.T is the kernel's time-major array: (lf, ..., channel, batch)
+        grad = (scale * grad.T).reshape((lf,) + resid.shape[:-1])
+        m = len(lead)
+        grad = grad.transpose(*range(1, m + 1), m + 2, 0, m + 1)
     return terms, grad
 
 
 def _add_terms(loss, terms):
     # left to right from the MSE, channel by channel, so the value does not
-    # depend on how the channels are stacked
-    return functools.reduce(operator.add, terms.tolist(), loss)
+    # depend on how the channels or the members are stacked
+    by_channel = terms.transpose(-1, *range(terms.ndim - 1))
+    return functools.reduce(operator.add, by_channel, loss)
+
+
+def _per_member(loss):
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def composite_loss(pred, target, cfg, n_channels=1):
@@ -231,26 +227,32 @@ def composite_loss(pred, target, cfg, n_channels=1):
 
     ``pred`` and ``target`` are ``(batch, lf * n_channels)`` with the step-major
     layout column = step * n_channels + channel.  With ``lam == 0`` the result
-    is bit-identical to :func:`mse`.
+    is bit-identical to :func:`mse`.  A stacked ``(members, batch, width)``
+    ``pred`` gives one loss per member, each bit for bit the member's own;
+    a 2-D ``target`` is then shared by every member.
     """
     pred, target = _check_pair(pred, target, cfg, n_channels)
-    loss, grad = mse(pred, target)
-    if cfg.lam == 0.0:
-        return loss, grad
-    terms, pgrad = _whitening(pred, target, cfg, n_channels, with_grad=True)
-    grad.reshape(pgrad.shape)[...] += pgrad
-    return _add_terms(loss, terms), grad
+    diff = pred - target
+    loss = np.mean(diff * diff, axis=(-2, -1))   # the same values as mse
+    grad = (2.0 / (diff.shape[-2] * diff.shape[-1])) * diff
+    if cfg.lam != 0.0:
+        terms, pgrad = _whitening(pred, target, cfg, n_channels,
+                                  with_grad=True)
+        grad.reshape(pgrad.shape)[...] += pgrad
+        loss = _add_terms(loss, terms)
+    return _per_member(loss), grad
 
 
 def composite_value(pred, target, cfg, n_channels=1):
     """The value of :func:`composite_loss`, bit for bit, without gradients."""
     pred, target = _check_pair(pred, target, cfg, n_channels)
     diff = pred - target
-    loss = float(np.mean(diff * diff))   # the same expression as mse
-    if cfg.lam == 0.0:
-        return loss
-    terms, _ = _whitening(pred, target, cfg, n_channels, with_grad=False)
-    return _add_terms(loss, terms)
+    loss = np.mean(diff * diff, axis=(-2, -1))
+    if cfg.lam != 0.0:
+        terms, _ = _whitening(pred, target, cfg, n_channels,
+                              with_grad=False)
+        loss = _add_terms(loss, terms)
+    return _per_member(loss)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ consume the flat ``(batch, lookback * d_in)`` window; recurrent stacks reshape
 it to ``(batch, lookback, d_in)`` and unroll over time, after which the head
 maps the final hidden state to all lookforward outputs at once.
 
+Layers act on the last axes only, so any leading axes pass through.
+:func:`stack_models` uses that: it puts several models' parameters on a
+leading member axis, ``(members, in, out)``, and the stacked model trains
+them together on ``(members, batch, width)`` inputs.  A plain 2-D input is
+shared by every member.  A single model keeps its 2-D parameters.
+
 ``forward`` returns a :class:`ForwardCache` holding every intermediate the
 backward pass needs; ``backward`` must be fed the cache of the immediately
 preceding forward on the same model instance.  Gradients accumulate into
@@ -94,7 +100,7 @@ _ACTIVATIONS = ("tanh", "relu", "linear")
 
 
 class Dense:
-    """Affine map with tanh/relu/linear activation; consumes 2-D input."""
+    """Affine map with tanh/relu/linear activation over the last axis."""
 
     def __init__(self, spec, name, rng):
         if spec.in_dim <= 0 or spec.out_dim <= 0:
@@ -111,7 +117,7 @@ class Dense:
         return [self.w, self.b]
 
     def forward(self, x, ctx):
-        if x.ndim != 2 or x.shape[1] != self.spec.in_dim:
+        if x.ndim < 2 or x.shape[-1] != self.spec.in_dim:
             raise ShapeError(
                 f"dense layer expects (batch, {self.spec.in_dim}), got {x.shape}")
         z = x @ self.w.value + self.b.value
@@ -136,9 +142,9 @@ class Dense:
             dz = dout * (saved > 0.0)
         else:
             dz = dout
-        self.w.grad += x.T @ dz
-        self.b.grad += dz.sum(axis=0, keepdims=True)
-        return dz @ self.w.value.T
+        self.w.grad += x.swapaxes(-1, -2) @ dz
+        self.b.grad += dz.sum(axis=-2, keepdims=True)
+        return dz @ self.w.value.swapaxes(-1, -2)
 
 
 class RnnCell:
@@ -159,33 +165,41 @@ class RnnCell:
         return [self.wx, self.wh, self.b]
 
     def forward(self, x, ctx):
-        if x.ndim != 3 or x.shape[2] != self.spec.in_dim:
+        if x.ndim < 3 or x.shape[-1] != self.spec.in_dim:
             raise ShapeError(
                 f"rnn cell expects (batch, T, {self.spec.in_dim}), got {x.shape}")
-        batch, steps, _ = x.shape
-        hid = self.spec.hidden
-        hs = np.zeros((batch, steps, hid))
-        h = np.zeros((batch, hid))
+        steps = x.shape[-2]
+        h = np.zeros(_row_shape(x, self.wx.value) + (self.spec.hidden,))
+        hs = np.zeros(h.shape[:-1] + (steps, self.spec.hidden))
         for t in range(steps):
-            h = np.tanh(x[:, t, :] @ self.wx.value + h @ self.wh.value + self.b.value)
-            hs[:, t, :] = h
+            h = np.tanh(x[..., t, :] @ self.wx.value + h @ self.wh.value
+                        + self.b.value)
+            hs[..., t, :] = h
         return hs, (x, hs)
 
     def backward(self, cache, dout):
         x, hs = cache
-        batch, steps, _ = x.shape
-        dx = np.zeros_like(x)
-        dh_carry = np.zeros((batch, self.spec.hidden))
+        steps = x.shape[-2]
+        dx = np.zeros(dout.shape[:-2] + x.shape[-2:])
+        zeros = np.zeros(hs.shape[:-2] + (self.spec.hidden,))
+        dh_carry = zeros
         for t in range(steps - 1, -1, -1):
-            dh = dout[:, t, :] + dh_carry
-            dz = dh * (1.0 - hs[:, t, :] ** 2)
-            prev_h = hs[:, t - 1, :] if t > 0 else np.zeros((batch, self.spec.hidden))
-            self.wx.grad += x[:, t, :].T @ dz
-            self.wh.grad += prev_h.T @ dz
-            self.b.grad += dz.sum(axis=0, keepdims=True)
-            dx[:, t, :] = dz @ self.wx.value.T
-            dh_carry = dz @ self.wh.value.T
+            dh = dout[..., t, :] + dh_carry
+            dz = dh * (1.0 - hs[..., t, :] ** 2)
+            prev_h = hs[..., t - 1, :] if t > 0 else zeros
+            self.wx.grad += x[..., t, :].swapaxes(-1, -2) @ dz
+            self.wh.grad += prev_h.swapaxes(-1, -2) @ dz
+            self.b.grad += dz.sum(axis=-2, keepdims=True)
+            dx[..., t, :] = dz @ self.wx.value.swapaxes(-1, -2)
+            dh_carry = dz @ self.wh.value.swapaxes(-1, -2)
         return dx
+
+
+def _row_shape(x, w):
+    """Leading shape of a recurrent layer's output rows: the ``(..., batch)``
+    axes of ``x`` broadcast against the member axes of the weights ``w``, so
+    a shared input runs through every member of a stack."""
+    return np.broadcast_shapes(x.shape[:-2], w.shape[:-2] + (1,))
 
 
 def _sigmoid(z):
@@ -228,67 +242,70 @@ class LstmCell:
         return [self.wx, self.wh, self.b]
 
     def forward(self, x, ctx):
-        if x.ndim != 3 or x.shape[2] != self.spec.in_dim:
+        if x.ndim < 3 or x.shape[-1] != self.spec.in_dim:
             raise ShapeError(
                 f"lstm cell expects (batch, T, {self.spec.in_dim}), got {x.shape}")
-        batch, steps, _ = x.shape
+        steps = x.shape[-2]
         hid = self.spec.hidden
-        h = np.zeros((batch, hid))
-        c = np.zeros((batch, hid))
-        hs = np.zeros((batch, steps, hid))
+        h = np.zeros(_row_shape(x, self.wx.value) + (hid,))
+        c = np.zeros(h.shape)
+        hs = np.zeros(h.shape[:-1] + (steps, hid))
         gates = []
         cells = []
         for t in range(steps):
-            z = x[:, t, :] @ self.wx.value + h @ self.wh.value + self.b.value
-            ifo = _sigmoid(z[:, :3 * hid])
-            i, f, o = ifo[:, :hid], ifo[:, hid:2 * hid], ifo[:, 2 * hid:]
-            g = np.tanh(z[:, 3 * hid:])
+            z = x[..., t, :] @ self.wx.value + h @ self.wh.value + self.b.value
+            ifo = _sigmoid(z[..., :3 * hid])
+            i, f, o = ifo[..., :hid], ifo[..., hid:2 * hid], ifo[..., 2 * hid:]
+            g = np.tanh(z[..., 3 * hid:])
             c = f * c + i * g
             h = o * np.tanh(c)
-            hs[:, t, :] = h
+            hs[..., t, :] = h
             gates.append((ifo, g))
             cells.append(c)
         return hs, (x, hs, gates, cells)
 
     def backward(self, cache, dout):
         x, hs, gates, cells = cache
-        batch, steps, _ = x.shape
+        steps = x.shape[-2]
         hid = self.spec.hidden
-        dx = np.zeros_like(x)
-        zeros = np.zeros((batch, hid))
+        dx = np.zeros(dout.shape[:-2] + x.shape[-2:])
+        zeros = np.zeros(hs.shape[:-2] + (hid,))
         dh_carry = dc_carry = zeros
         # Gate pre-activation gradients, one block per gate (i, f, o, g);
         # the first three share the sigmoid derivative and are scaled together.
-        dz = np.empty((batch, 4 * hid))
-        dz_ifo = dz[:, :3 * hid]
+        dz = np.empty(zeros.shape[:-1] + (4 * hid,))
+        dz_ifo = dz[..., :3 * hid]
         for t in range(steps - 1, -1, -1):
             ifo, g = gates[t]
-            i, f, o = ifo[:, :hid], ifo[:, hid:2 * hid], ifo[:, 2 * hid:]
+            i, f, o = ifo[..., :hid], ifo[..., hid:2 * hid], ifo[..., 2 * hid:]
             c = cells[t]
             prev_c = cells[t - 1] if t > 0 else zeros
-            prev_h = hs[:, t - 1, :] if t > 0 else zeros
-            dh = dout[:, t, :] + dh_carry
+            prev_h = hs[..., t - 1, :] if t > 0 else zeros
+            dh = dout[..., t, :] + dh_carry
             tanh_c = np.tanh(c)
             dc = dc_carry + dh * o * (1.0 - tanh_c * tanh_c)
-            np.multiply(dc, g, out=dz[:, :hid])
-            np.multiply(dc, prev_c, out=dz[:, hid:2 * hid])
-            np.multiply(dh, tanh_c, out=dz[:, 2 * hid:3 * hid])
+            np.multiply(dc, g, out=dz[..., :hid])
+            np.multiply(dc, prev_c, out=dz[..., hid:2 * hid])
+            np.multiply(dh, tanh_c, out=dz[..., 2 * hid:3 * hid])
             dz_ifo *= ifo
             dz_ifo *= 1.0 - ifo
-            np.multiply(dc, i, out=dz[:, 3 * hid:])
-            dz[:, 3 * hid:] *= 1.0 - g * g
-            self.wx.grad += x[:, t, :].T @ dz
-            self.wh.grad += prev_h.T @ dz
-            self.b.grad += dz.sum(axis=0, keepdims=True)
-            dx[:, t, :] = dz @ self.wx.value.T
-            dh_carry = dz @ self.wh.value.T
+            np.multiply(dc, i, out=dz[..., 3 * hid:])
+            dz[..., 3 * hid:] *= 1.0 - g * g
+            self.wx.grad += x[..., t, :].swapaxes(-1, -2) @ dz
+            self.wh.grad += prev_h.swapaxes(-1, -2) @ dz
+            self.b.grad += dz.sum(axis=-2, keepdims=True)
+            dx[..., t, :] = dz @ self.wx.value.swapaxes(-1, -2)
+            dh_carry = dz @ self.wh.value.swapaxes(-1, -2)
             dc_carry = dc * f
         return dx
 
 
 class Dropout:
     """Inverted dropout: train mode zeroes a ``rate`` fraction and rescales
-    survivors by 1/(1-rate); eval mode is the exact identity."""
+    survivors by 1/(1-rate); eval mode is the exact identity.
+
+    A stacked model passes one stream per member, and each member's mask is
+    drawn from its own stream."""
 
     def __init__(self, spec, name, rng):
         if not 0.0 <= spec.rate < 1.0:
@@ -304,8 +321,12 @@ class Dropout:
             return x, None
         if ctx.rng is None:
             raise StateError("train-mode dropout needs an rng")
+        if isinstance(ctx.rng, (list, tuple)):
+            u = np.stack([rng.uniform(size=x.shape[1:]) for rng in ctx.rng])
+        else:
+            u = ctx.rng.uniform(size=x.shape)
         keep = 1.0 - self.spec.rate
-        mask = (ctx.rng.uniform(size=x.shape) >= self.spec.rate) / keep
+        mask = (u >= self.spec.rate) / keep
         return x * mask, mask
 
     def backward(self, cache, dout):
@@ -329,12 +350,11 @@ class _Ctx:
 class ForwardCache:
     """Per-layer intermediates from one forward pass, bound to that pass."""
 
-    def __init__(self, model, token, entries, head_cache, batch):
+    def __init__(self, model, token, entries, head_cache):
         self.model_id = id(model)
         self.token = token
         self.entries = entries          # list of (transition, layer_cache)
         self.head_cache = head_cache
-        self.batch = batch
 
 
 class Model:
@@ -416,40 +436,41 @@ class Model:
     def forward(self, inputs, rng=None):
         """Run the stack on flat ``(batch, lookback * d_in)`` inputs.
 
-        Returns ``(outputs, cache)``; in train mode dropout masks are drawn
-        from ``rng``.
+        A stacked model takes ``(members, batch, ...)`` inputs, or plain 2-D
+        ones that every member shares.  Returns ``(outputs, cache)``; in
+        train mode dropout masks are drawn from ``rng``, one stream per member
+        for a stacked model.
         """
         x = np.asarray(inputs, dtype=np.float64)
-        if x.ndim != 2:
+        if x.ndim < 2:
             raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
         ctx = _Ctx(self.mode, rng)
-        batch = x.shape[0]
         entries = []
         seq = False
         for layer in self.layers:
             transition = None
             if isinstance(layer, (RnnCell, LstmCell)) and not seq:
                 lb, d_in = self.seq_shape
-                if x.shape[1] != lb * d_in:
-                    raise ShapeError(
-                        f"input width {x.shape[1]} != lookback*d_in {lb * d_in}")
-                x = x.reshape(batch, lb, d_in)
+                if x.shape[-1] != lb * d_in:
+                    raise ShapeError(f"input width {x.shape[-1]} != "
+                                     f"lookback*d_in {lb * d_in}")
+                x = x.reshape(x.shape[:-1] + (lb, d_in))
                 seq = True
                 transition = "to_seq"
             elif isinstance(layer, Dense) and seq:
-                x = x[:, -1, :]
+                x = x[..., -1, :]
                 seq = False
                 transition = "last_step"
             x, layer_cache = layer.forward(x, ctx)
             entries.append((transition, layer_cache))
         head_transition = None
         if seq:
-            x = x[:, -1, :]
+            x = x[..., -1, :]
             head_transition = "last_step"
         out, head_cache = self.head.forward(x, ctx)
         self._forward_token += 1
         cache = ForwardCache(self, self._forward_token,
-                             entries, (head_transition, head_cache), batch)
+                             entries, (head_transition, head_cache))
         return out, cache
 
     def backward(self, cache, grad_out):
@@ -474,14 +495,31 @@ class Model:
             if transition == "last_step":
                 dx = _expand_last_step(dx, seq_len)
             elif transition == "to_seq":
-                dx = dx.reshape(cache.batch, -1)
+                dx = dx.reshape(dx.shape[:-2] + (-1,))
         return dx
 
 
 def _expand_last_step(dx, steps):
-    full = np.zeros((dx.shape[0], steps, dx.shape[1]))
-    full[:, -1, :] = dx
+    full = np.zeros(dx.shape[:-1] + (steps, dx.shape[-1]))
+    full[..., -1, :] = dx
     return full
+
+
+def stack_models(models):
+    """One model whose parameters hold the members' on a new leading axis.
+
+    The members must share their layer specs.  The stack trains as one
+    model: every layer runs its members' products as one batched matmul, and
+    each member's slice goes through the same floating-point operations as
+    the member alone.
+    """
+    first = models[0]
+    stacked = Model([layer.spec for layer in first.layers] + [first.head.spec],
+                    None, first.seq_shape)
+    for p, *members in zip(stacked.params, *(m.params for m in models)):
+        p.value = np.stack([q.value for q in members])
+        p.grad = np.zeros_like(p.value)
+    return stacked
 
 
 def build_specs(arch, lb, d_in, lf, d_out, hidden=None, layers=None,

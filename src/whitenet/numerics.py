@@ -1,8 +1,6 @@
-"""Deterministic numeric primitives: matrices, seeded RNG, basic statistics.
+"""Deterministic randomness: the seeded stream every consumer draws from.
 
-Matrices are plain 2-D float64 ``numpy.ndarray``s throughout the package;
-this module only adds the shape/domain checking the rest of the code relies
-on.  Randomness goes through :class:`RngState`, a thin wrapper over numpy's
+Randomness goes through :class:`RngState`, a thin wrapper over numpy's
 Philox counter-based bit generator.  Philox is documented, keyed by the seed,
 and produces the same stream on every platform; normal variates are derived
 from its uniforms with the Box-Muller transform so the full sequence is
@@ -11,40 +9,7 @@ reproducible bit-for-bit.
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-
-
-def as_matrix(x, name="matrix"):
-    """Coerce to a 2-D float64 array, rejecting anything else."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got ndim={a.ndim}")
-    return a
-
-
-def matmul(a, b):
-    """Matrix product with an explicit conformance check.
-
-    Raises
-    ------
-    ShapeError
-        If ``a.shape[1] != b.shape[0]``; the message names both shapes.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def mean_var(x):
-    """Arithmetic mean and population variance (divide by n) of a vector."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size == 0:
-        raise DomainError("mean_var of an empty vector")
-    m = float(np.mean(x))
-    v = float(np.mean((x - m) ** 2))
-    return m, v
+from .errors import DomainError
 
 
 class RngState:
@@ -85,12 +50,3 @@ class RngState:
     def child(self, stream):
         """Independent stream derived from (seed, stream); used per trajectory."""
         return RngState((self.seed * 1_000_003 + int(stream)) & 0x7FFF_FFFF_FFFF_FFFF)
-
-
-def gaussian_sample(rng, n, sigma):
-    """``n`` draws from N(0, sigma^2), advancing ``rng``."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
-    return rng.normal(size=(int(n),), sigma=sigma)

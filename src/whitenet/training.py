@@ -5,12 +5,21 @@ The loop is deliberately plain.  Every source of randomness is a child stream
 of the run seed (model init, epoch shuffles, dropout masks), so a run repeated
 with identical flags is bit-identical end to end: same parameter trajectory,
 same traces, same checkpoint bytes.
+
+The run matrix trains the seeds of each (system, arch, lambda) group
+together, up to ``jobs`` at a time, as one stacked model: the members'
+parameters sit on a leading axis, and every layer, the loss and Adam run all
+members in one call each.  At desk scale each numpy call is small, so its
+Python overhead is what a fit spends most of its time on, and a stack of S
+members pays it once instead of S times.  Each member keeps its own streams,
+schedule and stopping point, and its slice of every operation goes through
+the same floating-point operations as a fit of that seed alone.  So a run's
+record and checkpoint do not depend on ``jobs``.
 """
 
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -25,7 +34,7 @@ from .datasets import (
 )
 from .errors import ConfigError, DivergenceError, ShapeError
 from .losses import LossConfig, composite_loss, composite_value
-from .nn import Model, build_specs, save_checkpoint
+from .nn import Model, build_specs, save_checkpoint, stack_models
 from .numerics import RngState
 
 # child-stream tags, so the independent consumers never share a stream
@@ -101,20 +110,26 @@ def adam_step(params, adam, lr, l2=0.0, grad_clip=0.0):
     ``grad_clip > 0`` rescales the whole gradient to that global norm first;
     ``l2 > 0`` then adds classic weight decay (l2 * w) to every non-bias
     gradient before the moment updates, i.e. decay is coupled through Adam.
+
+    Parameters of a stacked model carry one member per index of their
+    leading axis.  Each member then has its own clip norm, and ``lr`` may be
+    an array with one rate per member.
     """
     if grad_clip > 0.0:
         total = 0.0
         for p in params:
-            total += float(np.sum(p.grad * p.grad))
+            total += (p.grad * p.grad).sum(axis=(-2, -1))
         total = np.sqrt(total)
-        if total > grad_clip:
-            scale = grad_clip / total
+        if (total > grad_clip).any():
+            # grad_clip / total where total > grad_clip, else exactly 1
+            scale = (grad_clip / np.fmax(total, grad_clip))[..., None, None]
             for p in params:
                 p.grad *= scale
     adam.step += 1
     t = adam.step
     bc1 = 1.0 - AdamState.beta1 ** t
     bc2 = 1.0 - AdamState.beta2 ** t
+    lr = np.asarray(lr)[..., None, None]
     for i, p in enumerate(params):
         g = p.grad
         if l2 > 0.0 and not _is_bias(p):
@@ -162,7 +177,8 @@ def dataset_loss(model, ds, loss_cfg, chunk=2048):
 
     Chunked row-wise; both loss terms are means over rows, so the weighted
     combination equals the single-pass value.  Uses the value-only path of
-    the loss, which builds no gradient arrays.
+    the loss, which builds no gradient arrays.  A stacked model runs every
+    chunk through all its members and gives one loss per member.
     """
     model.set_mode("eval")
     total = 0.0
@@ -175,6 +191,90 @@ def dataset_loss(model, ds, loss_cfg, chunk=2048):
     return total / ds.n
 
 
+class _Member:
+    """One fit's own state in a stack: its streams, its learning-rate and
+    patience schedule, and its best weights."""
+
+    def __init__(self, model, cfg, checkpoint_dir, run_name, started):
+        self.model = model
+        self.cfg = cfg
+        self.checkpoint_dir = checkpoint_dir
+        self.run_name = run_name
+        self.started = started
+        self.shuffle_rng = RngState(cfg.seed).child(_STREAM_SHUFFLE)
+        self.dropout_rng = RngState(cfg.seed).child(_STREAM_DROPOUT)
+        self.lr = cfg.lr0
+        self.record = RunRecord(config={"train": asdict(cfg),
+                                        "run_name": run_name})
+        self.best_params = [p.value.copy() for p in model.params]
+        self.best_val = float("inf")      # exact running min, owns checkpoint
+        self.patience_ref = float("inf")  # improvements below the threshold
+        self.best_epoch = -1              # do not reset the patience counters
+        self.since_improve_stop = 0
+        self.since_improve_lr = 0
+        self.result = None   # the finished RunRecord, or the error ending it
+
+    def end_epoch(self, epoch, train_loss, val_loss, values):
+        """Book one epoch, given the member's current weights ``values``.
+
+        Returns True when the member stops here; ``result`` is then set.
+        """
+        cfg = self.cfg
+        record = self.record
+        record.train_losses.append(train_loss)
+        if not np.isfinite(val_loss):
+            self.result = DivergenceError(epoch, "validation composite")
+            return True
+        record.val_losses.append(val_loss)
+        record.lr_trace.append(self.lr)
+        record.epochs_run = epoch + 1
+        if val_loss < self.best_val:
+            self.best_val = val_loss
+            self.best_epoch = epoch
+            for buf, value in zip(self.best_params, values):
+                buf[...] = value
+        if val_loss < self.patience_ref - PLATEAU_THRESHOLD:
+            self.patience_ref = val_loss
+            self.since_improve_stop = 0
+            self.since_improve_lr = 0
+        else:
+            self.since_improve_stop += 1
+            self.since_improve_lr += 1
+        if self.since_improve_stop >= cfg.early_stop_patience:
+            self.finish()
+            return True
+        if self.since_improve_lr >= cfg.plateau_patience:
+            self.lr *= cfg.lr_factor
+            self.since_improve_lr = 0
+        return False
+
+    def finish(self):
+        """Put the best weights back into the member's model; checkpoint it."""
+        model = self.model
+        record = self.record
+        for p, buf in zip(model.params, self.best_params):
+            p.value[...] = buf
+        model.set_mode("eval")
+        record.best_epoch = self.best_epoch
+        record.best_val_loss = self.best_val
+        record.wall_time = time.perf_counter() - self.started
+        record.model = model
+        if self.checkpoint_dir is not None:
+            os.makedirs(self.checkpoint_dir, exist_ok=True)
+            path = os.path.join(self.checkpoint_dir, f"{self.run_name}.json")
+            save_checkpoint(model, path, seed=self.cfg.seed,
+                            epoch=self.best_epoch, best_val_loss=self.best_val)
+            record.checkpoint_path = path
+        self.result = record
+
+
+def _keep_members(model, adam, keep):
+    """Shrink a stacked model and its Adam moments to the members ``keep``."""
+    for i, p in enumerate(model.params):
+        p.value, p.grad = p.value[keep], p.grad[keep]
+        adam.m[i], adam.v[i] = adam.m[i][keep], adam.v[i][keep]
+
+
 def fit(model, train, val, cfg, checkpoint_dir=None, run_name="run"):
     """Train ``model`` on ``train``, selecting by ``val`` composite loss.
 
@@ -183,94 +283,113 @@ def fit(model, train, val, cfg, checkpoint_dir=None, run_name="run"):
     lambda = 0, so baseline runs are selected by MSE and whitened runs by
     their own criterion.
     """
+    (result,) = fit_stack([model], train, val, [cfg], [checkpoint_dir],
+                          [run_name])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def fit_stack(models, train, val, cfgs, checkpoint_dirs=None, run_names=None):
+    """Train models of one architecture together, as one stacked model.
+
+    ``cfgs`` holds one config per model and they may differ only in their
+    seeds.  Each member keeps its own shuffle and dropout streams, clip
+    norm, learning rate, plateau and early-stop counters and best weights,
+    so its record and checkpoint are bit for bit those of :func:`fit` on
+    that model alone.  Every member takes the same number of Adam steps, so
+    the bias corrections are shared.  A member that stops early or diverges
+    leaves the stack, and the others train on.
+
+    Returns one entry per model: its RunRecord, or the DivergenceError that
+    ended it.  One model trains as it is, with its 2-D parameters.
+    """
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ConfigError("the fits of a stack may differ only in their seeds")
     if train.inputs.shape[1] != val.inputs.shape[1] or \
             train.targets.shape[1] != val.targets.shape[1]:
         raise ShapeError("train and val datasets disagree on widths")
-    head_width = model.head.spec.out_dim
-    if head_width != train.targets.shape[1]:
-        raise ShapeError(
-            f"model head width {head_width} != target width "
-            f"{train.targets.shape[1]}")
+    for model in models:
+        head_width = model.head.spec.out_dim
+        if head_width != train.targets.shape[1]:
+            raise ShapeError(
+                f"model head width {head_width} != target width "
+                f"{train.targets.shape[1]}")
     loss_cfg = cfg.loss_config()
-    shuffle_rng = RngState(cfg.seed).child(_STREAM_SHUFFLE)
-    dropout_rng = RngState(cfg.seed).child(_STREAM_DROPOUT)
-    adam = AdamState(model.params)
-    lr = cfg.lr0
     n = train.n
     batch = min(cfg.batch, n)
     n_batches = n // batch   # tail smaller than batch is dropped
-
-    record = RunRecord(config={"train": asdict(cfg), "run_name": run_name})
-    best_params = [p.value.copy() for p in model.params]
-    best_val = float("inf")        # exact running min, owns the checkpoint
-    patience_ref = float("inf")    # improvements smaller than the threshold
-    best_epoch = -1                # do not reset the patience counters
-    since_improve_stop = 0
-    since_improve_lr = 0
+    count = len(models)
     started = time.perf_counter()
+    active = [_Member(model, c, checkpoint_dir, run_name, started)
+              for model, c, checkpoint_dir, run_name in zip(
+                  models, cfgs, checkpoint_dirs or [None] * count,
+                  run_names or ["run"] * count)]
+    members = list(active)
+    stacked = count > 1
+    net = stack_models(models) if stacked else models[0]
+    adam = AdamState(net.params)
+
+    def per_member(values):
+        # a stacked model takes one entry per member, a single model its own
+        return values if stacked else values[0]
+
+    def step(cache, dloss):
+        net.zero_grads()
+        net.backward(cache, dloss)
+        adam_step(net.params, adam, per_member([m.lr for m in active]),
+                  l2=cfg.l2, grad_clip=cfg.grad_clip)
 
     for epoch in range(cfg.max_epochs):
-        perm = shuffle_rng.permutation(n)
-        model.set_mode("train")
-        epoch_loss = 0.0
+        perms = [m.shuffle_rng.permutation(n) for m in active]
+        net.set_mode("train")
+        epoch_loss = np.zeros(len(active))
         for b in range(n_batches):
-            idx = perm[b * batch:(b + 1) * batch]
-            xb = train.inputs[idx]
-            yb = train.targets[idx]
-            pred, cache = model.forward(xb, rng=dropout_rng)
+            rows = per_member([p[b * batch:(b + 1) * batch] for p in perms])
+            rngs = per_member([m.dropout_rng for m in active])
+            pred, cache = net.forward(train.inputs[rows], rng=rngs)
             # a diverging fit overflows here; the non-finite loss is
             # reported below as DivergenceError, not as RuntimeWarnings
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, dloss = composite_loss(pred, yb, loss_cfg,
-                                             n_channels=train.d_out)
-            if not np.isfinite(loss):
-                raise DivergenceError(epoch, "composite")
-            model.zero_grads()
-            model.backward(cache, dloss)
-            adam_step(model.params, adam, lr, l2=cfg.l2,
-                      grad_clip=cfg.grad_clip)
-            epoch_loss += loss
-        record.train_losses.append(epoch_loss / n_batches)
-        with np.errstate(over="ignore", invalid="ignore"):
-            val_loss = dataset_loss(model, val, loss_cfg)
-        if not np.isfinite(val_loss):
-            raise DivergenceError(epoch, "validation composite")
-        record.val_losses.append(val_loss)
-        record.lr_trace.append(lr)
-        record.epochs_run = epoch + 1
-
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            for buf, p in zip(best_params, model.params):
-                buf[...] = p.value
-        if val_loss < patience_ref - PLATEAU_THRESHOLD:
-            patience_ref = val_loss
-            since_improve_stop = 0
-            since_improve_lr = 0
-        else:
-            since_improve_stop += 1
-            since_improve_lr += 1
-        if since_improve_stop >= cfg.early_stop_patience:
+                loss, dloss = composite_loss(pred, train.targets[rows],
+                                             loss_cfg, n_channels=train.d_out)
+            ok = np.isfinite(loss)
+            if ok.all():
+                step(cache, dloss)
+                epoch_loss += loss
+                continue
+            ok = np.atleast_1d(ok)
+            for i in np.flatnonzero(~ok):
+                active[i].result = DivergenceError(epoch, "composite")
+            keep = np.flatnonzero(ok)
+            if not keep.size:
+                active = []
+                break
+            # the diverged members take this step with the others, quietly,
+            # and then leave the stack
+            with np.errstate(all="ignore"):
+                step(cache, dloss)
+            active = [active[i] for i in keep]
+            perms = [perms[i] for i in keep]
+            epoch_loss = (epoch_loss + loss)[keep]
+            _keep_members(net, adam, keep)
+        if not active:
             break
-        if since_improve_lr >= cfg.plateau_patience:
-            lr *= cfg.lr_factor
-            since_improve_lr = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            val_loss = np.atleast_1d(dataset_loss(net, val, loss_cfg))
+        keep = [i for i, m in enumerate(active) if not m.end_epoch(
+            epoch, float(epoch_loss[i] / n_batches), float(val_loss[i]),
+            [p.value[i] if stacked else p.value for p in net.params])]
+        if len(keep) < len(active):
+            active = [active[i] for i in keep]
+            if not active:
+                break
+            _keep_members(net, adam, keep)
 
-    for p, buf in zip(model.params, best_params):
-        p.value[...] = buf
-    model.set_mode("eval")
-    record.best_epoch = best_epoch
-    record.best_val_loss = best_val
-    record.wall_time = time.perf_counter() - started
-    record.model = model
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        path = os.path.join(checkpoint_dir, f"{run_name}.json")
-        save_checkpoint(model, path, seed=cfg.seed, epoch=best_epoch,
-                        best_val_loss=best_val)
-        record.checkpoint_path = path
-    return record
+    for member in active:
+        member.finish()
+    return [m.result for m in members]
 
 
 # ---------------------------------------------------------------------------
@@ -305,35 +424,55 @@ def run_name_for(system, arch, lam, seed):
     return f"{system}_{arch}_lam{lam_tag}_seed{seed}"
 
 
-def _one_run(system, arch, lam, seed, data, cfg_base, lb, lf, out_dir,
-             data_seed=0):
-    cfg = replace(cfg_base, lam=lam, seed=seed)
-    name = run_name_for(system, arch, lam, seed)
-    run_dir = None
+def _run_group(system, arch, lam, seeds, data, cfg_base, lb, lf, out_dir,
+               data_seed):
+    """Fit the given seeds of one (system, arch, lambda) cell as one stack."""
+    cfgs = [replace(cfg_base, lam=lam, seed=seed) for seed in seeds]
+    names = [run_name_for(system, arch, lam, seed) for seed in seeds]
+    run_dirs = [None] * len(seeds)
     if out_dir is not None:
-        run_dir = os.path.join(out_dir, name)
-        os.makedirs(run_dir, exist_ok=True)
+        run_dirs = [os.path.join(out_dir, name) for name in names]
+        for run_dir in run_dirs:
+            os.makedirs(run_dir, exist_ok=True)
+    train = data["train"]
     try:
-        train = data["train"]
         specs, seq_shape = build_specs(arch, lb, train.d_in, lf, train.d_out,
-                                       dropout=cfg.dropout)
-        model = Model(specs, RngState(seed).child(_STREAM_MODEL_INIT),
-                      seq_shape=seq_shape)
-        record = fit(model, train, data["val"], cfg,
-                     checkpoint_dir=run_dir, run_name="checkpoint")
-        record.config["run_name"] = name
-    except DivergenceError as exc:
-        record = RunRecord(config={"train": asdict(cfg), "run_name": name},
-                           error=str(exc))
+                                       dropout=cfg_base.dropout)
+        models = [Model(specs, RngState(seed).child(_STREAM_MODEL_INIT),
+                        seq_shape=seq_shape) for seed in seeds]
+        if len(models) == 1:
+            # one seed trains through fit: perfbench's tracer times fits
+            # by that name
+            try:
+                results = [fit(models[0], train, data["val"], cfgs[0],
+                               checkpoint_dir=run_dirs[0],
+                               run_name="checkpoint")]
+            except DivergenceError as exc:
+                results = [exc]
+        else:
+            results = fit_stack(models, train, data["val"], cfgs,
+                                checkpoint_dirs=run_dirs,
+                                run_names=["checkpoint"] * len(seeds))
     except Exception as exc:   # a failed run is a record, not a crash
-        record = RunRecord(config={"train": asdict(cfg), "run_name": name},
-                           error=f"{type(exc).__name__}: {exc}")
-    record.config.update({"system": system, "arch": arch, "lam": lam,
-                          "seed": seed, "lb": lb, "lf": lf,
-                          "data_seed": data_seed})
-    if run_dir is not None:
-        save_run(record, run_dir, data["manifests"])
-    return record
+        results = [exc] * len(seeds)
+    records = []
+    for cfg, name, run_dir, result in zip(cfgs, names, run_dirs, results):
+        if isinstance(result, DivergenceError):
+            record = RunRecord(config={"train": asdict(cfg), "run_name": name},
+                               error=str(result))
+        elif isinstance(result, Exception):
+            record = RunRecord(config={"train": asdict(cfg), "run_name": name},
+                               error=f"{type(result).__name__}: {result}")
+        else:
+            record = result
+            record.config["run_name"] = name
+        record.config.update({"system": system, "arch": arch, "lam": lam,
+                              "seed": cfg.seed, "lb": lb, "lf": lf,
+                              "data_seed": data_seed})
+        if run_dir is not None:
+            save_run(record, run_dir, data["manifests"])
+        records.append(record)
+    return records
 
 
 def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=10, lf=10,
@@ -341,10 +480,17 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=10, lf=10,
     """Cross-product of systems x architectures x lambdas x seeds.
 
     Datasets are built once per system and shared read-only across runs.
-    Failures (divergence included) become error records; the matrix finishes.
-    Results come back in job order, so equal inputs give equal outputs, and
-    with ``out_dir`` set every run leaves a manifest + checkpoint directory.
+    The seeds of each (system, arch, lambda) cell train ``jobs`` at a time
+    as one stacked model (see :func:`fit_stack`); ``jobs=1`` fits them one
+    by one.  Each run's record and checkpoint are the same bits either way.
+    A stack holds ``jobs`` copies of every activation, so memory grows with
+    ``jobs``.  Failures (divergence included) become error records; the
+    matrix finishes.  Results come back in job order, so equal inputs give
+    equal outputs, and with ``out_dir`` set every run leaves a manifest +
+    checkpoint directory.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     cfg_base = TrainConfig() if cfg_base is None else cfg_base
     data_by_system = {}
     for system in systems:
@@ -354,17 +500,16 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=10, lf=10,
         data_by_system[system] = prepare_data(system, lb=lb, lf=lf,
                                               data_seed=data_seed,
                                               regimes=regimes)
-    job_args = [(system, arch, lam, seed, data_by_system[system],
-                 cfg_base, lb, lf, out_dir, data_seed)
-                for system in systems
-                for arch in archs
-                for lam in lams
-                for seed in seeds]
-    if jobs <= 1:
-        return [_one_run(*args) for args in job_args]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_one_run, *args) for args in job_args]
-        return [f.result() for f in futures]
+    records = []
+    for system in systems:
+        for arch in archs:
+            for lam in lams:
+                for start in range(0, len(seeds), jobs):
+                    records += _run_group(
+                        system, arch, lam, seeds[start:start + jobs],
+                        data_by_system[system], cfg_base, lb, lf, out_dir,
+                        data_seed)
+    return records
 
 
 def save_run(record, run_dir, dataset_manifests=None):

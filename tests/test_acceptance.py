@@ -68,7 +68,8 @@ def pendulum_matrix():
     data = prepare_data("pendulum")
     out = {}
     for arch, lam in PENDULUM_LAM.items():
-        recs = run_matrix(["pendulum"], [arch], [0.0, lam], SEEDS, cfg_base=CFG)
+        recs = run_matrix(["pendulum"], [arch], [0.0, lam], SEEDS, cfg_base=CFG,
+                          jobs=len(SEEDS))
         by_lam = {}
         for rec in recs:
             by_lam.setdefault(rec.config["lam"], []).append(rec)
@@ -105,7 +106,8 @@ def backlash_arms():
     out = {}
     for name, (lam, dropout) in arms.items():
         cfg = replace(CFG, dropout=dropout)
-        recs = run_matrix(["backlash"], ["rnn"], [lam], SEEDS, cfg_base=cfg)
+        recs = run_matrix(["backlash"], ["rnn"], [lam], SEEDS, cfg_base=cfg,
+                          jobs=len(SEEDS))
         for rec in recs:
             assert rec.error is None, rec.error
         out[name] = [

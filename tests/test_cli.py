@@ -127,6 +127,16 @@ def test_train_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_train_rejects_jobs_below_one(tmp_path, capsys):
+    assert _train(tmp_path, "--jobs", "0") == 2
+    assert _train(tmp_path, "--jobs", "-2") == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 0}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.count("--jobs must be") == 3
+    assert not any(p.is_dir() for p in tmp_path.iterdir())
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_train_divergence_exits_1_with_record(tmp_path):
     code = _train(tmp_path, "--seed", "1", "--lr", "1e200",
@@ -180,6 +190,20 @@ def test_eval_missing_checkpoint_exits_1(tmp_path, capsys):
     (run_dir / "checkpoint.json").unlink()
     assert main(["eval", str(run_dir)]) == 1
     capsys.readouterr()
+
+
+def test_eval_rejects_a_file_among_run_dirs(tmp_path, capsys):
+    # `whitenet eval OUT/*` also matches the matrix JSON that train writes
+    assert _train(tmp_path, "--seeds", "1,2", "--epochs", "1") == 0
+    capsys.readouterr()
+    runs = sorted(str(p) for p in tmp_path.iterdir() if p.is_dir())
+    matrix = tmp_path / "pendulum_dense_lam1_matrix.json"
+    assert matrix.is_file()
+    # the file comes last: it is rejected before any run dir is evaluated
+    assert main(["eval", *runs, str(matrix)]) == 2
+    err = capsys.readouterr().err
+    assert f"{matrix} is not a run directory" in err
+    assert not list(tmp_path.glob("*/report_*"))
 
 
 def test_eval_aggregate_over_seeds(tmp_path):

@@ -7,7 +7,6 @@ from whitenet.losses import (
     LossConfig,
     _ljb2d_value_grad_loop,
     _ljb2d_value_grad_numpy,
-    autocorr_1d,
     autocorr_1d_per_lag,
     autocorr_2d,
     composite_loss,
@@ -76,8 +75,8 @@ def test_mse_shape_mismatch():
 
 def test_autocorr_alternating_row():
     r = np.array([[1.0, -1.0, 1.0, -1.0]])
-    assert abs(autocorr_1d(r, 1, epsilon=1e-300) - (-0.75)) < 1e-15
-    assert abs(autocorr_1d(r, 0, epsilon=1e-300) - 1.0) < 1e-15
+    per_lag = autocorr_1d_per_lag(r, 2, epsilon=1e-300)
+    assert np.max(np.abs(per_lag - [-0.75, 0.5])) < 1e-15
 
 
 def test_autocorr_constant_row():
@@ -91,18 +90,9 @@ def test_autocorr_constant_row():
 def test_autocorr_lag_out_of_range():
     r = np.ones((1, 4))
     with pytest.raises(DomainError):
-        autocorr_1d(r, 4)
-    with pytest.raises(DomainError):
         autocorr_1d_per_lag(r, 4)
-
-
-def test_autocorr_subtract_mean_centers():
-    r = np.array([[5.0, 6.0, 5.0, 6.0, 5.0, 6.0]])
-    raw = autocorr_1d_per_lag(r, 2)
-    centered = autocorr_1d_per_lag(r, 2, subtract_mean=True)
-    # positive-mean row looks correlated raw (150/183), anti-correlated centered
-    assert abs(raw[0] - 150.0 / 183.0) < 1e-9
-    assert centered[0] < 0.0
+    with pytest.raises(DomainError):
+        autocorr_1d_per_lag(r, 0)
 
 
 def test_ljb_statistic_alternating_is_42():
@@ -208,6 +198,26 @@ def test_composite_value_is_composite_loss_value_exactly(lam, d):
     target = rng.normal(size=(37, 10 * d))
     assert composite_value(pred, target, cfg, n_channels=d) == \
         composite_loss(pred, target, cfg, n_channels=d)[0]
+
+
+@pytest.mark.parametrize("lam, d", [(0.0, 3), (0.7, 1), (0.7, 3)])
+def test_stacked_composite_matches_members_exactly(lam, d):
+    cfg = LossConfig(lam=lam, lags=5)
+    rng = RngState(13)
+    pred = rng.normal(size=(3, 37, 10 * d))
+    target = rng.normal(size=(3, 37, 10 * d))
+    loss, grad = composite_loss(pred, target, cfg, n_channels=d)
+    value = composite_value(pred, target, cfg, n_channels=d)
+    # a target without the member axis is shared by every member
+    shared = composite_value(pred, target[0], cfg, n_channels=d)
+    assert loss.shape == value.shape == shared.shape == (3,)
+    for s in range(3):
+        m_loss, m_grad = composite_loss(pred[s], target[s], cfg, n_channels=d)
+        assert isinstance(m_loss, float)
+        assert loss[s] == m_loss and value[s] == m_loss
+        assert np.array_equal(grad[s].view(np.uint64), m_grad.view(np.uint64))
+        assert shared[s] == composite_value(pred[s], target[0], cfg,
+                                            n_channels=d)
 
 
 def test_composite_lam_zero_is_mse_bitwise():

@@ -6,10 +6,12 @@ from whitenet.errors import ConfigError, ShapeError, StateError
 from whitenet.nn import (
     Dense,
     DenseSpec,
+    Dropout,
     DropoutSpec,
     LstmCell,
     LstmSpec,
     Model,
+    RnnCell,
     RnnSpec,
     _sigmoid,
     build_specs,
@@ -17,6 +19,7 @@ from whitenet.nn import (
     save_checkpoint,
     spec_from_dict,
     spec_to_dict,
+    stack_models,
 )
 from whitenet.numerics import RngState
 
@@ -229,6 +232,80 @@ def test_lstm_matches_reference_exactly(batch, steps, d_in, hid, scale, bias):
                        (-np.inf, -745.0)):
             assert np.any((zs >= lo) & (zs <= hi))
 
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def _ctx(mode="eval", rng=None):
+    return type("C", (), {"mode": mode, "rng": rng})()
+
+
+# (layer class, spec, one member's input shape)
+_STACK_LAYERS = [
+    (Dense, DenseSpec(12, 7, "tanh"), (128, 12)),
+    (Dense, DenseSpec(12, 7, "relu"), (5, 12)),
+    (Dense, DenseSpec(24, 30, "linear"), (2048, 24)),
+    (RnnCell, RnnSpec(3, 24), (128, 10, 3)),
+    (RnnCell, RnnSpec(1, 5), (7, 4, 1)),
+    (LstmCell, LstmSpec(3, 24), (128, 10, 3)),
+    (LstmCell, LstmSpec(2, 5), (1, 6, 2)),
+]
+
+
+@pytest.mark.parametrize("cls,spec,shape", _STACK_LAYERS)
+def test_stacked_layer_matches_members_exactly(cls, spec, shape):
+    members = [cls(spec, "L", RngState(20 + s)) for s in range(3)]
+    stacked = cls(spec, "L", None)
+    for p, *qs in zip(stacked.params, *(m.params for m in members)):
+        p.value = np.stack([q.value for q in qs])
+        p.grad = np.zeros_like(p.value)
+    x = RngState(1).normal(size=(3,) + shape)
+    out, cache = stacked.forward(x, _ctx())
+    dout = RngState(2).normal(size=out.shape)
+    dx = stacked.backward(cache, dout)
+    # a shared input runs through every member's weights
+    shared, _ = stacked.forward(x[0], _ctx())
+    for s, member in enumerate(members):
+        m_out, m_cache = member.forward(x[s], _ctx())
+        assert _same_bits(out[s], m_out)
+        assert _same_bits(dx[s], member.backward(m_cache, dout[s]))
+        for p, q in zip(stacked.params, member.params):
+            assert _same_bits(p.grad[s], q.grad)
+        assert _same_bits(shared[s], member.forward(x[0], _ctx())[0])
+
+
+def test_stacked_dropout_draws_each_member_from_its_own_stream():
+    layer = Dropout(DropoutSpec(0.3), "d", None)
+    x = RngState(3).normal(size=(2, 6, 5))
+    out, mask = layer.forward(x, _ctx("train", [RngState(7), RngState(8)]))
+    for s, seed in enumerate((7, 8)):
+        m_out, m_mask = layer.forward(x[s], _ctx("train", RngState(seed)))
+        assert _same_bits(out[s], m_out)
+        assert _same_bits(mask[s], m_mask)
+
+
+@pytest.mark.parametrize("arch", ["dense", "rnn", "lstm"])
+def test_stacked_model_matches_members_exactly(arch):
+    specs, seq_shape = build_specs(arch, 4, 3, 2, 2, hidden=5, dropout=0.2)
+    members = [Model(specs, RngState(30 + s), seq_shape) for s in range(3)]
+    stacked = stack_models(members)
+    x = RngState(4).normal(size=(3, 9, 12))
+    dout = RngState(5).normal(size=(3, 9, 4))
+    stacked.set_mode("train")
+    out, cache = stacked.forward(x, rng=[RngState(40 + s) for s in range(3)])
+    dx = stacked.backward(cache, dout)
+    for s, member in enumerate(members):
+        member.set_mode("train")
+        m_out, m_cache = member.forward(x[s], rng=RngState(40 + s))
+        assert _same_bits(out[s], m_out)
+        assert _same_bits(dx[s], member.backward(m_cache, dout[s]))
+        for p, q in zip(stacked.params, member.params):
+            assert p.name == q.name
+            assert _same_bits(p.value[s], q.value)
+            assert _same_bits(p.grad[s], q.grad)
+
+
 def test_dropout_train_statistics():
     model = Model(build_specs("dense", 4, 3, 2, 2, hidden=8, dropout=0.3)[0],
                   RngState(5))
@@ -260,7 +337,6 @@ def test_dropout_train_needs_rng():
 
 def test_dropout_fixed_mask_gradient():
     # with the mask held fixed, dropout backward is elementwise multiply
-    from whitenet.nn import Dropout
     layer = Dropout(DropoutSpec(0.4), "d", None)
     ctx = type("C", (), {"mode": "train", "rng": RngState(2)})()
     x = RngState(3).normal(size=(5, 6))

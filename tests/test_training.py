@@ -1,3 +1,6 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from whitenet.training import (
     adam_step,
     dataset_loss,
     fit,
+    fit_stack,
     load_run,
     prepare_data,
     run_matrix,
@@ -232,23 +236,117 @@ def test_run_matrix_counts_and_determinism(tmp_path):
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_run_matrix_records_failures_and_continues():
-    records = run_matrix(
-        systems=["pendulum"], archs=["dense"], lams=[0.0], seeds=[1, 2],
-        cfg_base=_tiny_cfg(lr0=1e200, grad_clip=1e30), lb=10, lf=10,
-        regimes_by_system={"pendulum": TINY_REGIMES})
-    assert len(records) == 2
-    assert all(not rec.ok for rec in records)
-    assert all("diverged" in rec.error for rec in records)
+    for jobs in (1, 2):
+        records = run_matrix(
+            systems=["pendulum"], archs=["dense"], lams=[0.0], seeds=[1, 2],
+            cfg_base=_tiny_cfg(lr0=1e200, grad_clip=1e30), lb=10, lf=10,
+            regimes_by_system={"pendulum": TINY_REGIMES}, jobs=jobs)
+        assert len(records) == 2
+        assert all(not rec.ok for rec in records)
+        assert all("diverged" in rec.error for rec in records)
 
 
-def test_run_matrix_parallel_matches_serial():
-    args = dict(systems=["pendulum"], archs=["dense"], lams=[0.0, 1.0],
-                seeds=[1, 2], cfg_base=_tiny_cfg(), lb=10, lf=10,
-                regimes_by_system={"pendulum": TINY_REGIMES})
-    serial = run_matrix(**args, jobs=1)
-    parallel = run_matrix(**args, jobs=4)
-    for a, b in zip(serial, parallel):
-        assert a.val_losses == b.val_losses
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_run_matrix_parallel_matches_serial(tmp_path):
+    # Each seed of a stack gets the bits of its serial fit.  With these
+    # patiences the seeds stop at different epochs, so members leave the
+    # stack mid-run, and 3 seeds at jobs=2 end with a stack of one.
+    cfg = _tiny_cfg(max_epochs=30, dropout=0.1, plateau_patience=2,
+                    early_stop_patience=3)
+    for arch in ("dense", "rnn", "lstm"):
+        runs = {}
+        for jobs in (1, 3, 2):
+            out = tmp_path / f"{arch}_jobs{jobs}"
+            runs[jobs] = out, run_matrix(
+                systems=["pendulum"], archs=[arch], lams=[0.0, 1.0],
+                seeds=[1, 2, 3], cfg_base=cfg, lb=10, lf=10,
+                regimes_by_system={"pendulum": TINY_REGIMES},
+                out_dir=str(out), jobs=jobs)
+        out1, serial = runs[1]
+        assert all(rec.ok for rec in serial)
+        stops = [{rec.epochs_run for rec in serial[i:i + 3]} for i in (0, 3)]
+        assert any(len(group) > 1 for group in stops), (arch, stops)
+        for jobs in (3, 2):
+            out, stacked = runs[jobs]
+            assert _files(out) == _files(out1)
+            for a, b in zip(serial, stacked):
+                da, db = a.to_dict(), b.to_dict()
+                assert os.path.dirname(da.pop("checkpoint_path")) == str(
+                    out1 / a.config["run_name"])
+                db.pop("checkpoint_path")
+                assert da == db
+                for p, q in zip(a.model.params, b.model.params):
+                    assert _same_bits(p.value, q.value)
+
+
+def _stack_data():
+    train, val = _linear_data()
+    return train, val, TrainConfig(lam=0.0, l2=0.001, dropout=0.0,
+                                   max_epochs=40, batch=64, lr0=0.05,
+                                   grad_clip=0.5, plateau_patience=3,
+                                   early_stop_patience=5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_stack_matches_fits_and_drops_diverged_member():
+    train, val, cfg = _stack_data()
+    cfgs = [replace(cfg, seed=s) for s in (4, 5, 6)]
+
+    def models():
+        out = [Model([DenseSpec(6, 3, "linear")], RngState(s)) for s in (1, 2, 3)]
+        out[1].head.w.value *= 1e300   # overflows on its first batch
+        return out
+
+    stacked = fit_stack(models(), train, val, cfgs)
+    serial = models()
+    for model, c, got in zip(serial, cfgs, stacked):
+        try:
+            want = fit(model, train, val, c)
+        except DivergenceError as exc:
+            assert isinstance(got, DivergenceError)
+            assert str(got) == str(exc)
+            continue
+        assert want.to_dict() == got.to_dict()
+        for p, q in zip(want.model.params, got.model.params):
+            assert _same_bits(p.value, q.value)
+    assert isinstance(stacked[1], DivergenceError)
+    assert stacked[0].epochs_run != stacked[2].epochs_run
+
+
+def test_fit_stack_configs_may_differ_only_in_seed():
+    train, val, cfg = _stack_data()
+    models = [Model([DenseSpec(6, 3, "linear")], RngState(s)) for s in (1, 2)]
+    with pytest.raises(ConfigError):
+        fit_stack(models, train, val, [cfg, replace(cfg, lr0=0.1)])
+
+
+def test_adam_step_stacked_matches_members():
+    rng = RngState(21)
+    values = rng.normal(size=(3, 4, 5))
+    grads = rng.normal(size=(3, 4, 5)) * np.array([10.0, 0.01, 1.0])[:, None, None]
+    bias = rng.normal(size=(3, 1, 5))
+    lrs = [0.01, 0.02, 0.005]
+    # members 0 and 2 are clipped to norm 1, member 1 is not
+    stacked = [Parameter("l.W", values.copy(), grads.copy()),
+               Parameter("l.b", bias.copy(), np.full((3, 1, 5), 0.01))]
+    adam = AdamState(stacked)
+    adam_step(stacked, adam, np.array(lrs), l2=0.001, grad_clip=1.0)
+    for s in range(3):
+        member = [Parameter("l.W", values[s].copy(), grads[s].copy()),
+                  Parameter("l.b", bias[s].copy(), np.full((1, 5), 0.01))]
+        adam_step(member, AdamState(member), lrs[s], l2=0.001, grad_clip=1.0)
+        for p, q in zip(member, stacked):
+            assert _same_bits(p.value, q.value[s])
+            assert _same_bits(p.grad, q.grad[s])
 
 
 def test_save_and_load_run(tmp_path):
