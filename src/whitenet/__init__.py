@@ -2,12 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .accel import NUMBA_ENABLED, backend_name
 from .numerics import RngState
 
 __all__ = [
-    "NUMBA_ENABLED",
     "RngState",
     "__version__",
-    "backend_name",
 ]

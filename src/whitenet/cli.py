@@ -1,9 +1,8 @@
-"""Command line interface: simulate, train, eval, gradcheck, bench.
+"""Command line interface: simulate, train, eval, gradcheck.
 
 One executable covers the full pipeline: generate trajectories, train
-single runs or seed matrices, evaluate checkpoints into reports, verify
-every analytic gradient, and time the numba kernels against their
-vectorized references (without numba, only the references are timed).
+single runs or seed matrices, evaluate checkpoints into reports, and verify
+every analytic gradient.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  Every command is
 deterministic given its flags and seeds, and every output directory carries
@@ -24,7 +23,6 @@ import time
 import numpy as np
 
 from . import gradcheck as gradcheck_mod
-from .accel import NUMBA_ENABLED
 from .datasets import RegimeSpec, csv_export, regime_trajectories
 from .errors import (
     ConfigError,
@@ -35,7 +33,6 @@ from .errors import (
     StateError,
 )
 from .evaluation import aggregate, emit, emit_comparison, evaluate
-from .losses import _ljb2d_value_grad_numpy
 from .nn import load_checkpoint
 from .simulators import SYSTEMS, default_params
 from .training import TrainConfig, load_run, prepare_data, run_matrix
@@ -173,10 +170,12 @@ def cmd_train(args):
         raise UsageError(str(exc))
     out_dir = _out_root(cfg["out"], "runs")
     os.makedirs(out_dir, exist_ok=True)
+    start = time.perf_counter()
     records = run_matrix(
         systems=[cfg["system"]], archs=[cfg["arch"]], lams=[lam], seeds=seeds,
         cfg_base=base, lb=cfg["lb"], lf=cfg["lf"], data_seed=cfg["data_seed"],
         out_dir=out_dir, jobs=jobs)
+    elapsed = time.perf_counter() - start
     manifest = dict(cfg)
     manifest.pop("out", None)   # self-referential; keeps artifacts portable
     manifest.update({"command": "train", "lam": lam, "seeds": seeds})
@@ -188,13 +187,12 @@ def cmd_train(args):
         name = rec.config["run_name"]
         if rec.ok:
             print(f"{name}: best val {rec.best_val_loss:.6g} at epoch "
-                  f"{rec.best_epoch} ({rec.epochs_run} epochs, "
-                  f"{rec.wall_time:.1f}s)")
+                  f"{rec.best_epoch} ({rec.epochs_run} epochs)")
         else:
             failed += 1
             print(f"{name}: FAILED ({rec.error})")
-    print(f"{len(records) - failed}/{len(records)} runs trained, "
-          f"output under {out_dir}")
+    print(f"{len(records) - failed}/{len(records)} runs trained in "
+          f"{elapsed:.1f}s, output under {out_dir}")
     return 1 if failed else 0
 
 
@@ -307,52 +305,6 @@ def cmd_gradcheck(args):
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-def _time_call(func, reps):
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def cmd_bench(args):
-    from .losses import _ljb2d_value_grad
-    from .simulators import _rollup_double_pendulum, _rollup_double_pendulum_py
-
-    rng = np.random.default_rng(0)
-    img = rng.normal(size=(args.rows, args.n))
-    s0 = np.array([np.pi / 2, 0.0, np.pi / 2, 0.0])
-    dp_args = (s0, args.steps, 1.0, 1.0, 1.0, 1.0, 9.81, 0.01)
-
-    cases = [
-        ("ljb2d_value_grad", lambda: _ljb2d_value_grad_numpy(img, 2, 1e-8),
-         lambda: _ljb2d_value_grad(img, 2, 1e-8)),
-        ("dp_rollout", lambda: _rollup_double_pendulum_py(*dp_args),
-         lambda: _rollup_double_pendulum(*dp_args)),
-    ]
-    print(f"numba enabled: {NUMBA_ENABLED} "
-          f"(set WHITENET_NO_NUMBA=1 to time the pure-numpy build alone)")
-    if not NUMBA_ENABLED:
-        # Both builds are the same numpy code here, so a ratio would be noise.
-        print(f"{'kernel':<18s} {'numpy':>12s} {'speedup':>9s}")
-        for name, ref, _ in cases:
-            t_ref = _time_call(ref, args.reps)
-            print(f"{name:<18s} {t_ref * 1e3:>10.3f}ms {'n/a':>9s}")
-        return 0
-    print(f"{'kernel':<18s} {'reference':>12s} {'accel':>12s} {'speedup':>9s}")
-    for name, ref, accel in cases:
-        accel()   # trigger any jit compile outside the timed region
-        t_ref = _time_call(ref, args.reps)
-        t_acc = _time_call(accel, args.reps)
-        print(f"{name:<18s} {t_ref * 1e3:>10.3f}ms {t_acc * 1e3:>10.3f}ms "
-              f"{t_ref / t_acc:>8.1f}x")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser wiring
 
 def _seed_list(text):
@@ -428,15 +380,6 @@ def build_parser():
     p.add_argument("--tol", type=float, default=gradcheck_mod.DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("bench", help="time accelerated kernels vs references")
-    p.add_argument("--rows", type=int, default=200,
-                   help="rows of the 2-D residual image")
-    p.add_argument("--n", type=int, default=200,
-                   help="columns of the 2-D residual image")
-    p.add_argument("--steps", type=int, default=20000)
-    p.add_argument("--reps", type=int, default=5)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

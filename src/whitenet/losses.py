@@ -32,8 +32,8 @@ the same order as a one-channel evaluation of the formula, so stacking
 channels or members changes no bit of the loss or of its gradient.  The
 value-only path, used by :func:`composite_value` for validation, builds no
 gradient arrays and returns the same bits as :func:`composite_loss`.  The
-2-D kernel still has a numba-jitted loop build next to its numpy build (see
-:mod:`whitenet.accel`).
+2-D kernel, used by :func:`ljb_loss_2d`, is numpy too: one slice product
+per lag pair.
 """
 
 import functools
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import NUMBA_ENABLED, njit
 from .errors import DomainError, ShapeError
 
 
@@ -276,7 +275,7 @@ def as_image(x):
     return img
 
 
-def _ljb2d_value_grad_numpy(img, lags, epsilon):
+def _ljb2d_value_grad(img, lags, epsilon):
     h, w = img.shape
     n = h * w
     coef = float(n * (n + 2))
@@ -296,42 +295,6 @@ def _ljb2d_value_grad_numpy(img, lags, epsilon):
             grad[:h - p, :w - q] += wgt * img[p:, q:]
     grad -= (4.0 * loss / s) * img
     return loss, grad
-
-
-@njit(cache=True)
-def _ljb2d_value_grad_loop(img, lags, epsilon):  # pragma: no cover - jitted
-    h, w = img.shape
-    n = h * w
-    coef = float(n * (n + 2))
-    s = epsilon
-    for i in range(h):
-        for j in range(w):
-            s += img[i, j] * img[i, j]
-    loss = 0.0
-    grad = np.zeros((h, w))
-    for p in range(lags + 1):
-        for q in range(lags + 1):
-            if p == 0 and q == 0:
-                continue
-            nv = (h - p) * (w - q)
-            c = 0.0
-            for i in range(p, h):
-                for j in range(q, w):
-                    c += img[i, j] * img[i - p, j - q]
-            rho = c / s
-            loss += coef * rho * rho / nv
-            wgt = 2.0 * coef * rho / (nv * s)
-            for i in range(p, h):
-                for j in range(q, w):
-                    grad[i, j] += wgt * img[i - p, j - q]
-                    grad[i - p, j - q] += wgt * img[i, j]
-    for i in range(h):
-        for j in range(w):
-            grad[i, j] -= 4.0 * loss * img[i, j] / s
-    return loss, grad
-
-
-_ljb2d_value_grad = _ljb2d_value_grad_loop if NUMBA_ENABLED else _ljb2d_value_grad_numpy
 
 
 def ljb_loss_2d(residual_image, cfg):

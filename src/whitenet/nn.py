@@ -18,10 +18,8 @@ backward pass needs; ``backward`` must be fed the cache of the immediately
 preceding forward on the same model instance.  Gradients accumulate into
 ``Parameter.grad`` buffers, zeroed by the caller per batch.
 
-Inner products here are plain BLAS-backed numpy matmuls: batches make them
-big enough that jitting the unroll buys nothing.  numba jits only the 2-D
-Ljung-Box kernel and the simulator rollouts, whose loops are genuinely
-scalar; the layers and the 1-D loss are numpy only.
+Inner products here are plain BLAS-backed numpy matmuls, over whole
+batches and, in a stacked model, every member at once.
 """
 
 import json

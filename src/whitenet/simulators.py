@@ -14,9 +14,8 @@ Three systems:
 ``simulate`` rolls a system from its documented initial state over a given
 actuation sequence and records observation channels, optionally adding
 i.i.d. Gaussian measurement noise.  Dynamics always evolve on the noiseless
-state.  The per-step rollouts are scalar loops, so they carry numba builds
-with plain-python fallbacks (see accel module); both builds are kept
-importable for the benchmark command.
+state.  The rollouts are plain-python scalar loops: each step is a handful
+of scalar operations, too small for numpy calls to pay off.
 """
 
 import math
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import NUMBA_ENABLED, njit
 from .errors import ConfigError, DomainError, ShapeError
 
 SYSTEMS = ("pendulum", "double_pendulum", "backlash")
@@ -126,7 +124,7 @@ def step_pendulum(state, u, p):
     return theta, omega
 
 
-def _dp_accel_py(th1, w1, th2, w2, m1, m2, l1, l2, g):
+def _dp_accel(th1, w1, th2, w2, m1, m2, l1, l2, g):
     # standard two-link equations, angles from the downward vertical
     delta = th1 - th2
     den = 2.0 * m1 + m2 - m2 * math.cos(2.0 * delta)
@@ -140,17 +138,14 @@ def _dp_accel_py(th1, w1, th2, w2, m1, m2, l1, l2, g):
     return a1, a2
 
 
-_dp_accel = njit(cache=True)(_dp_accel_py) if NUMBA_ENABLED else _dp_accel_py
-
-
 def double_pendulum_accel(state, p):
     """Instantaneous angular accelerations (alpha1, alpha2) at ``state``."""
     th1, w1, th2, w2 = state
     return _dp_accel(th1, w1, th2, w2, p.m1, p.m2, p.l1, p.l2, p.g)
 
 
-def _dp_rk4_py(th1, w1, th2, w2, m1, m2, l1, l2, g, dt):
-    a1, a2 = _dp_accel(th1, w1, th2, w2, m1, m2, l1, l2, g)
+def _dp_rk4(th1, w1, th2, w2, a1, a2, m1, m2, l1, l2, g, dt):
+    # (a1, a2) is the first stage: the accelerations at the current state
     k1 = (w1, a1, w2, a2)
     a1, a2 = _dp_accel(th1 + 0.5 * dt * k1[0], w1 + 0.5 * dt * k1[1],
                        th2 + 0.5 * dt * k1[2], w2 + 0.5 * dt * k1[3],
@@ -171,13 +166,11 @@ def _dp_rk4_py(th1, w1, th2, w2, m1, m2, l1, l2, g, dt):
             w2 + s * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]))
 
 
-_dp_rk4 = njit(cache=True)(_dp_rk4_py) if NUMBA_ENABLED else _dp_rk4_py
-
-
 def step_double_pendulum(state, p):
     """One classical RK4 step of the free-fall double pendulum."""
     th1, w1, th2, w2 = state
-    return _dp_rk4(th1, w1, th2, w2, p.m1, p.m2, p.l1, p.l2, p.g, p.dt)
+    a1, a2 = _dp_accel(th1, w1, th2, w2, p.m1, p.m2, p.l1, p.l2, p.g)
+    return _dp_rk4(th1, w1, th2, w2, a1, a2, p.m1, p.m2, p.l1, p.l2, p.g, p.dt)
 
 
 def double_pendulum_energy(state, p):
@@ -211,11 +204,10 @@ def step_backlash_motor(state, u, p):
 
 
 # ---------------------------------------------------------------------------
-# Whole-trajectory rollouts (record state, then step).  These are the hot
-# loops: each exists as a plain-python build (_py suffix) and, when numba is
-# enabled, a jitted build; the module-level name points at the active one.
+# Whole-trajectory rollouts (record state, then step): the hot loops, with
+# the arithmetic of the single steps above written out on scalars.
 
-def _rollup_pendulum_py(theta0, omega0, u, g, l, m, dt, clip):
+def _rollup_pendulum(theta0, omega0, u, g, l, m, dt, clip):
     steps = u.shape[0]
     thetas = np.empty(steps)
     omegas = np.empty(steps)
@@ -234,19 +226,22 @@ def _rollup_pendulum_py(theta0, omega0, u, g, l, m, dt, clip):
     return thetas, omegas
 
 
-def _rollup_double_pendulum_py(s0, steps, m1, m2, l1, l2, g, dt):
-    out = np.empty((steps, 4))
+def _rollup_double_pendulum(s0, steps, m1, m2, l1, l2, g, dt):
+    # records the observed channels theta1, omega1 and alpha1; alpha1 is
+    # the first RK4 stage's, at the recorded state
+    out = np.empty((steps, 3))
     th1, w1, th2, w2 = s0[0], s0[1], s0[2], s0[3]
     for t in range(steps):
+        a1, a2 = _dp_accel(th1, w1, th2, w2, m1, m2, l1, l2, g)
         out[t, 0] = th1
         out[t, 1] = w1
-        out[t, 2] = th2
-        out[t, 3] = w2
-        th1, w1, th2, w2 = _dp_rk4(th1, w1, th2, w2, m1, m2, l1, l2, g, dt)
+        out[t, 2] = a1
+        th1, w1, th2, w2 = _dp_rk4(th1, w1, th2, w2, a1, a2,
+                                   m1, m2, l1, l2, g, dt)
     return out
 
 
-def _rollup_backlash_py(u, tau, gain, beta, dt):
+def _rollup_backlash(u, tau, gain, beta, dt):
     steps = u.shape[0]
     out = np.empty((steps, 3))
     th_m = 0.0
@@ -264,16 +259,6 @@ def _rollup_backlash_py(u, tau, gain, beta, dt):
         elif gap < -beta:
             th_s = th_m + beta
     return out
-
-
-if NUMBA_ENABLED:
-    _rollup_pendulum = njit(cache=True)(_rollup_pendulum_py)
-    _rollup_double_pendulum = njit(cache=True)(_rollup_double_pendulum_py)
-    _rollup_backlash = njit(cache=True)(_rollup_backlash_py)
-else:
-    _rollup_pendulum = _rollup_pendulum_py
-    _rollup_double_pendulum = _rollup_double_pendulum_py
-    _rollup_backlash = _rollup_backlash_py
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +319,9 @@ def simulate(system, params, actions, noise_sigma, rng, init_state=None):
             raise ShapeError("double pendulum is unactuated; pass (T, 0) actions")
         s0 = np.asarray(DOUBLE_PENDULUM_INIT if init_state is None else init_state,
                         dtype=np.float64)
-        full = _rollup_double_pendulum(
+        clean = _rollup_double_pendulum(
             s0, steps, params.m1, params.m2, params.l1, params.l2,
             params.g, params.dt)
-        alpha1 = np.empty(steps)
-        for t in range(steps):
-            alpha1[t] = _dp_accel(full[t, 0], full[t, 1], full[t, 2], full[t, 3],
-                                  params.m1, params.m2, params.l1, params.l2,
-                                  params.g)[0]
-        clean = np.column_stack([full[:, 0], full[:, 1], alpha1])
         names, action_names = DOUBLE_PENDULUM_CHANNELS, ()
     elif system == "backlash":
         if actions.shape[1] != 1:

@@ -19,7 +19,6 @@ record and checkpoint do not depend on ``jobs``.
 
 import json
 import os
-import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -154,7 +153,6 @@ class RunRecord:
     best_epoch: int = -1
     best_val_loss: float = float("inf")
     epochs_run: int = 0
-    wall_time: float = 0.0
     checkpoint_path: str = None
     error: str = None
     model: object = None    # in-memory handle, never serialized
@@ -164,10 +162,7 @@ class RunRecord:
         return self.error is None
 
     def to_dict(self):
-        # wall_time stays off disk: run artifacts must be byte-identical
-        # across repeated invocations with the same flags.
-        doc = {k: v for k, v in self.__dict__.items()
-               if k not in ("model", "wall_time")}
+        doc = {k: v for k, v in self.__dict__.items() if k != "model"}
         doc["format_version"] = 1
         return doc
 
@@ -195,12 +190,11 @@ class _Member:
     """One fit's own state in a stack: its streams, its learning-rate and
     patience schedule, and its best weights."""
 
-    def __init__(self, model, cfg, checkpoint_dir, run_name, started):
+    def __init__(self, model, cfg, checkpoint_dir, run_name):
         self.model = model
         self.cfg = cfg
         self.checkpoint_dir = checkpoint_dir
         self.run_name = run_name
-        self.started = started
         self.shuffle_rng = RngState(cfg.seed).child(_STREAM_SHUFFLE)
         self.dropout_rng = RngState(cfg.seed).child(_STREAM_DROPOUT)
         self.lr = cfg.lr0
@@ -257,7 +251,6 @@ class _Member:
         model.set_mode("eval")
         record.best_epoch = self.best_epoch
         record.best_val_loss = self.best_val
-        record.wall_time = time.perf_counter() - self.started
         record.model = model
         if self.checkpoint_dir is not None:
             os.makedirs(self.checkpoint_dir, exist_ok=True)
@@ -321,8 +314,7 @@ def fit_stack(models, train, val, cfgs, checkpoint_dirs=None, run_names=None):
     batch = min(cfg.batch, n)
     n_batches = n // batch   # tail smaller than batch is dropped
     count = len(models)
-    started = time.perf_counter()
-    active = [_Member(model, c, checkpoint_dir, run_name, started)
+    active = [_Member(model, c, checkpoint_dir, run_name)
               for model, c, checkpoint_dir, run_name in zip(
                   models, cfgs, checkpoint_dirs or [None] * count,
                   run_names or ["run"] * count)]

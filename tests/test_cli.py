@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from whitenet import cli, losses
+from whitenet import losses
 from whitenet.cli import main
 from whitenet.datasets import csv_ingest
 from whitenet.evaluation import load_report
@@ -73,6 +73,14 @@ def test_train_writes_run_dir(tmp_path):
     assert record["config"]["train"]["max_epochs"] == 2
     assert len(record["val_losses"]) == record["epochs_run"]
     assert (tmp_path / "pendulum_dense_lam1_matrix.json").exists()
+
+
+def test_train_prints_the_matrix_time_once(tmp_path, capsys):
+    # a stack's seeds finish together: one wall time for the whole matrix
+    assert _train(tmp_path, "--seeds", "1,2,3", "--jobs", "3") == 0
+    out = capsys.readouterr().out
+    assert len(re.findall(r"\d+\.\ds\b", out)) == 1
+    assert re.search(r"^3/3 runs trained in \d+\.\ds, ", out, re.M)
 
 
 def test_train_seed_list_makes_subdirectories(tmp_path):
@@ -231,7 +239,7 @@ def test_eval_reports_are_deterministic(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# gradcheck / bench / misc
+# gradcheck / misc
 
 def test_gradcheck_command_passes():
     assert main(["gradcheck", "--component", "mse", "--component", "dropout",
@@ -251,32 +259,9 @@ def test_gradcheck_wrong_gradient_exits_nonzero(monkeypatch):
     assert main(["gradcheck", "--component", "mse", "--instances", "3"]) == 1
 
 
-def test_bench_runs():
-    assert main(["bench", "--rows", "16", "--n", "24", "--steps", "60",
-                 "--reps", "1"]) == 0
-
-
-_BENCH_SMALL = ["bench", "--rows", "16", "--n", "24", "--steps", "60", "--reps", "1"]
-
-
-def test_bench_without_numba_prints_no_speedup(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "NUMBA_ENABLED", False)
-    assert main(_BENCH_SMALL) == 0
-    rows = capsys.readouterr().out.splitlines()[2:]
-    assert [r.split()[0] for r in rows] == ["ljb2d_value_grad", "dp_rollout"]
-    for row in rows:
-        assert row.split()[-1] == "n/a"
-        assert len(re.findall(r"\d+\.\d+ms", row)) == 1
-        assert not re.search(r"\d+\.\dx", row)
-
-
-def test_bench_with_numba_prints_speedup(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "NUMBA_ENABLED", True)
-    assert main(_BENCH_SMALL) == 0
-    rows = capsys.readouterr().out.splitlines()[2:]
-    assert len(rows) == 2
-    for row in rows:
-        assert re.fullmatch(r"\S+\s+\d+\.\d+ms\s+\d+\.\d+ms\s+\d+\.\dx", row)
+def test_bench_is_unknown_command(capsys):
+    assert main(["bench"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_out_root_from_environment(tmp_path, monkeypatch):

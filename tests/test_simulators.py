@@ -186,6 +186,19 @@ def test_simulate_double_pendulum_hides_second_link():
     assert abs(traj.states[0, 2] + 9.81) < 1e-12  # alpha1 at the documented start
 
 
+def test_simulate_double_pendulum_records_alpha1_of_each_step():
+    # the rollout takes alpha1 from its first RK4 stage; rolling the single
+    # step by hand gives the states it must be taken at, step for step
+    p = DoublePendulumParams()
+    state = (2.0, 0.5, -1.0, 1.5)
+    traj = simulate("double_pendulum", p, np.zeros((300, 0)), 0.0,
+                    RngState(0), init_state=state)
+    for row in traj.states:
+        assert row[0] == state[0] and row[1] == state[1]
+        assert row[2] == double_pendulum_accel(state, p)[0]
+        state = step_double_pendulum(state, p)
+
+
 def test_simulate_backlash_velocity_is_backward_difference():
     p = BacklashMotorParams()
     acts = generate_actuation(RngState(4), 150, 1.0, 10)
