@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import gradcheck as gradcheck_mod
-from .datasets import RegimeSpec, csv_export, regime_trajectories
+from .datasets import RegimeSpec, csv_export, regime_trajectories, write_json
 from .errors import (
     ConfigError,
     CsvParseError,
@@ -35,7 +35,7 @@ from .errors import (
 from .evaluation import aggregate, emit, emit_comparison, evaluate
 from .nn import load_checkpoint
 from .simulators import SYSTEMS, default_params
-from .training import TrainConfig, load_run, prepare_data, run_matrix
+from .training import TrainConfig, lam_tag, load_run, prepare_data, run_matrix
 
 _ARCHS = ("dense", "rnn", "lstm")
 _LOSSES = ("mse", "mse+ljb")
@@ -50,12 +50,6 @@ def _out_root(explicit, fallback):
         return explicit
     env = os.environ.get("WHITENET_OUT")
     return env if env else fallback
-
-
-def _write_json(doc, path):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +81,8 @@ def cmd_simulate(args):
         "params": default_params(args.system).__dict__,
         "files": [os.path.basename(p) for p in paths],
     }
-    _write_json(manifest,
-                os.path.join(out_dir, f"{args.system}_seed{args.seed}_manifest.json"))
+    write_json(manifest,
+               os.path.join(out_dir, f"{args.system}_seed{args.seed}_manifest.json"))
     return 0
 
 
@@ -179,9 +173,8 @@ def cmd_train(args):
     manifest = dict(cfg)
     manifest.pop("out", None)   # self-referential; keeps artifacts portable
     manifest.update({"command": "train", "lam": lam, "seeds": seeds})
-    lam_tag = f"{lam:g}".replace(".", "p")
-    _write_json(manifest, os.path.join(
-        out_dir, f"{cfg['system']}_{cfg['arch']}_lam{lam_tag}_matrix.json"))
+    write_json(manifest, os.path.join(
+        out_dir, f"{cfg['system']}_{cfg['arch']}_lam{lam_tag(lam)}_matrix.json"))
     failed = 0
     for rec in records:
         name = rec.config["run_name"]
@@ -200,8 +193,7 @@ def cmd_train(args):
 # eval
 
 def _config_id(config):
-    lam_tag = f"{config['lam']:g}".replace(".", "p")
-    tag = f"{config['system']}_{config['arch']}_lam{lam_tag}"
+    tag = f"{config['system']}_{config['arch']}_lam{lam_tag(config['lam'])}"
     if config["train"].get("dropout", 0.0) > 0.0:
         tag += "_drop"
     return tag
@@ -269,7 +261,7 @@ def cmd_eval(args):
             agg = aggregate(reps)
             base = os.path.join(agg_dir, f"aggregate_{cid}_{name}")
             emit(agg, "markdown", base + ".md")
-            _write_json(agg.to_dict(), base + ".json")
+            write_json(agg.to_dict(), base + ".json")
             print(f"aggregated {cid} {name} over {agg.n_seeds} runs")
             by_dataset.setdefault(name, []).append(agg)
         for name, aggs in sorted(by_dataset.items()):

@@ -255,32 +255,14 @@ def normalize_fit_apply(train, *others):
 # hardware logs).  Header `t,<states...>,<actions...>`; action column names
 # start with "u"; values at 17 significant digits so floats round-trip.
 
-def csv_export(obj, path):
-    if isinstance(obj, Trajectory):
-        _traj_to_csv(obj, path)
-    elif isinstance(obj, WindowedDataset):
-        _windowed_to_csv(obj, path)
-    else:
-        raise ConfigError(f"cannot export {type(obj).__name__} as CSV")
-
-
-def _traj_to_csv(traj, path):
+def csv_export(traj, path):
+    if not isinstance(traj, Trajectory):
+        raise ConfigError(f"cannot export {type(traj).__name__} as CSV")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", *traj.state_names, *traj.action_names])
         for i in range(traj.states.shape[0]):
             row = [i * traj.dt, *traj.states[i], *traj.actions[i]]
-            writer.writerow([f"{v:.17g}" for v in row])
-
-
-def _windowed_to_csv(ds, path):
-    header = [f"x{s}_{name}" for s in range(ds.lb) for name in ds.input_names]
-    header += [f"y{s}_{name}" for s in range(ds.lf) for name in ds.target_names]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = np.concatenate([ds.inputs[i], ds.targets[i]])
             writer.writerow([f"{v:.17g}" for v in row])
 
 
@@ -355,16 +337,8 @@ def dataset_manifest(ds, stats=None):
     return doc
 
 
-def write_manifest(doc, path):
+def write_json(doc, path):
+    """The one JSON artifact format: sorted keys, indent 1, final newline."""
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def read_manifest(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != MANIFEST_FORMAT_VERSION:
-        raise ConfigError(
-            f"unsupported manifest format_version {doc.get('format_version')!r}")
-    return doc

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datasets import write_json
 from .errors import ConfigError, DomainError, ShapeError
-from .losses import LossConfig, autocorr_1d_per_lag, ljb_statistic, mse
+from .losses import LossConfig, ljb_statistic, mse
 
 REPORT_FORMAT_VERSION = 1
 
@@ -168,8 +169,7 @@ def evaluate(model, ds, lags=5, run_id="", dataset_id="", config_id=""):
         rm = np.ascontiguousarray(resid[:, m::d])
         rmse[m] = math.sqrt(float(np.mean(rm * rm)))
         std[m] = float(np.std(rm))
-        acf[m] = autocorr_1d_per_lag(rm, lags)
-        ljb[m] = ljb_statistic(rm, stat_cfg)
+        ljb[m], acf[m] = ljb_statistic(rm, stat_cfg)
         p_value[m] = chi2_upper_tail(ljb[m], lags)
     mse_value, _ = mse(pred, ds.targets)
     return EvalReport(
@@ -244,7 +244,7 @@ def emit(report, fmt, path):
     elif fmt == "csv":
         _emit_acf_csv(report, path)
     elif fmt == "json":
-        _emit_json(report, path)
+        write_json(report.to_dict(), path)
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
 
@@ -299,12 +299,6 @@ def _emit_acf_csv(report, path):
             for k in range(report.lags):
                 writer.writerow([ch, k + 1, f"{acf[i, k]:.17g}",
                                  "" if band is None else f"{band:.17g}"])
-
-
-def _emit_json(report, path):
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def load_report(path):

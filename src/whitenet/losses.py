@@ -1,5 +1,6 @@
-"""Training losses: MSE, residual autocorrelations, and the Ljung-Box
-whitening penalty with exact analytic gradients.
+"""Training losses: MSE and the Ljung-Box whitening penalty with exact
+analytic gradients, plus the statistic and the lag correlations it is built
+from, for diagnostics.
 
 Residual conventions
 --------------------
@@ -23,7 +24,9 @@ The 2-D variant correlates an (H, W) residual image at integer lag pairs
 (H - p)(W - q) in place of the 1-D (n - k).
 
 The 1-D statistic has one numpy kernel, used by :func:`ljb_loss`,
-:func:`ljb_statistic`, :func:`composite_loss` and :func:`composite_value`.
+:func:`ljb_statistic`, :func:`composite_loss` and :func:`composite_value`;
+it returns the lag correlations rho_k with the statistic, so one call gives
+a diagnostic report both.
 It takes every residual row of a batch at once; the composite losses write
 the residual of every channel (and of every member of a stacked model)
 once, channel-major, so one call covers them all, with a short loop over
@@ -65,15 +68,6 @@ class LossConfig:
             raise DomainError(f"two_d_lags must be >= 1, got {self.two_d_lags}")
 
 
-def _check_residuals(r, min_n=2):
-    r = np.ascontiguousarray(r, dtype=np.float64)
-    if r.ndim != 2:
-        raise ShapeError(f"residuals must be 2-D (batch, n), got ndim={r.ndim}")
-    if r.shape[1] < min_n:
-        raise DomainError(f"residual window length {r.shape[1]} < {min_n}")
-    return r
-
-
 def mse(pred, target):
     """Mean squared error over all entries and its gradient w.r.t. ``pred``."""
     pred = np.asarray(pred, dtype=np.float64)
@@ -86,20 +80,6 @@ def mse(pred, target):
     return loss, grad
 
 
-def autocorr_1d_per_lag(r, lags, epsilon=1e-8):
-    """Batch-averaged rho_k for k = 1..lags as an array (diagnostic helper)."""
-    r = _check_residuals(r)
-    n = r.shape[1]
-    if not 1 <= lags < n:
-        raise DomainError(f"lags {lags} out of range for window length {n}")
-    s = np.sum(r * r, axis=1) + epsilon
-    out = np.empty(lags)
-    for k in range(1, lags + 1):
-        c = np.sum(r[:, k:] * r[:, :n - k], axis=1)
-        out[k - 1] = np.mean(c / s)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The 1-D Ljung-Box kernel, shared by the loss, the statistic and the
 # composite loss over every channel of a batch.
@@ -107,10 +87,11 @@ def autocorr_1d_per_lag(r, lags, epsilon=1e-8):
 def _ljb_kernel(r, lags, epsilon, batch=None):
     """Per-row Ljung-Box statistic of the residual rows ``r``, ``(rows, n)``.
 
-    Returns ``(stat, grad)``: ``stat`` has one entry per row.  With ``batch``
-    set, ``grad`` is the ``(rows, n)`` gradient of each group of ``batch``
-    rows' mean statistic; without it (the value-only path) no gradient array
-    is built and ``grad`` is None.
+    Returns ``(stat, rho, grad)``: ``stat`` has one entry per row and ``rho``
+    is the ``(lags, rows)`` array of rho_k, k = 1..lags.  With ``batch`` set,
+    ``grad`` is the ``(rows, n)`` gradient of each group of ``batch`` rows'
+    mean statistic; without it (the value-only path) no gradient array is
+    built and ``grad`` is None.
 
     Each row goes through the same floating-point operations, in the same
     order, as when the formula is evaluated for one channel's rows alone, so
@@ -129,7 +110,7 @@ def _ljb_kernel(r, lags, epsilon, batch=None):
     n_minus_k = np.arange(n - 1.0, n - lags - 1.0, -1.0)[:, None]
     stat = np.cumsum(coef * rho * rho / n_minus_k, axis=0)[-1]
     if batch is None:
-        return stat, None
+        return stat, rho, None
     # grad_t = sum_k w_k (r_{t-k} + r_{t+k}) - 4 stat r_t / s, accumulated
     # time-major, where each shift by k is a contiguous slice of whole rows
     w = (2.0 * coef) * rho / (n_minus_k * s)
@@ -140,27 +121,30 @@ def _ljb_kernel(r, lags, epsilon, batch=None):
         grad[:n - k] += w[k - 1] * rt[k:]
     grad -= (4.0 * stat / s) * rt
     grad /= batch
-    return stat, grad.T
+    return stat, rho, grad.T
 
 
 def _check_lags(r, lags):
-    r = _check_residuals(r)
+    r = np.ascontiguousarray(r, dtype=np.float64)
+    if r.ndim != 2:
+        raise ShapeError(f"residuals must be 2-D (batch, n), got ndim={r.ndim}")
     if lags >= r.shape[1]:
         raise DomainError(f"lags {lags} must be < window length {r.shape[1]}")
     return r
 
 
 def ljb_statistic(r, cfg):
-    """Batch-averaged Ljung-Box statistic of residual rows (value only)."""
+    """Batch-averaged Ljung-Box statistic of residual rows, and the
+    batch-averaged rho_k, k = 1..lags, it is built from (value only)."""
     r = _check_lags(r, cfg.lags)
-    stat, _ = _ljb_kernel(r, cfg.lags, cfg.epsilon)
-    return float(np.mean(stat))
+    stat, rho, _ = _ljb_kernel(r, cfg.lags, cfg.epsilon)
+    return float(np.mean(stat)), rho.mean(axis=1)
 
 
 def ljb_loss(r, cfg):
     """Ljung-Box statistic and its exact gradient w.r.t. every residual."""
     r = _check_lags(r, cfg.lags)
-    stat, grad = _ljb_kernel(r, cfg.lags, cfg.epsilon, batch=r.shape[0])
+    stat, _, grad = _ljb_kernel(r, cfg.lags, cfg.epsilon, batch=r.shape[0])
     return float(np.mean(stat)), grad
 
 
@@ -199,8 +183,8 @@ def _whitening(pred, target, cfg, n_channels, with_grad):
     resid = np.empty((*lead, n_channels, b, lf))
     np.subtract(_channel_major(pred, n_channels),
                 _channel_major(target, n_channels), out=resid)
-    stat, grad = _ljb_kernel(resid.reshape(-1, lf), cfg.lags, cfg.epsilon,
-                             b if with_grad else None)
+    stat, _, grad = _ljb_kernel(resid.reshape(-1, lf), cfg.lags, cfg.epsilon,
+                                b if with_grad else None)
     terms = scale * stat.reshape(resid.shape[:-1]).mean(axis=-1)
     if grad is not None:
         # grad.T is the kernel's time-major array: (lf, ..., channel, batch)
@@ -257,24 +241,6 @@ def composite_value(pred, target, cfg, n_channels=1):
 # ---------------------------------------------------------------------------
 # 2-D (spatial) variant for residual images.
 
-def autocorr_2d(residual_image, p, q, epsilon=1e-8):
-    """Energy-normalized spatial autocorrelation at lag pair (p, q)."""
-    img = as_image(residual_image)
-    h, w = img.shape
-    if not (0 <= p < h and 0 <= q < w):
-        raise DomainError(f"lag ({p}, {q}) out of range for image {img.shape}")
-    s = float(np.sum(img * img)) + epsilon
-    c = float(np.sum(img[p:, q:] * img[:h - p, :w - q]))
-    return c / s
-
-
-def as_image(x):
-    img = np.ascontiguousarray(x, dtype=np.float64)
-    if img.ndim != 2:
-        raise ShapeError(f"residual image must be 2-D, got ndim={img.ndim}")
-    return img
-
-
 def _ljb2d_value_grad(img, lags, epsilon):
     h, w = img.shape
     n = h * w
@@ -299,9 +265,10 @@ def _ljb2d_value_grad(img, lags, epsilon):
 
 def ljb_loss_2d(residual_image, cfg):
     """Spatial Ljung-Box penalty over lag pairs (p, q) in [0, L]^2 \\ (0, 0)."""
-    img = as_image(residual_image)
+    img = np.ascontiguousarray(residual_image, dtype=np.float64)
+    if img.ndim != 2:
+        raise ShapeError(f"residual image must be 2-D, got ndim={img.ndim}")
     if cfg.two_d_lags >= min(img.shape):
         raise DomainError(
             f"two_d_lags {cfg.two_d_lags} must be < min of image shape {img.shape}")
-    loss, grad = _ljb2d_value_grad(img, cfg.two_d_lags, cfg.epsilon)
-    return loss, grad
+    return _ljb2d_value_grad(img, cfg.two_d_lags, cfg.epsilon)

@@ -417,9 +417,6 @@ class Model:
         out.extend(self.head.params)
         return out
 
-    def param_count(self):
-        return int(sum(p.value.size for p in self.params))
-
     def zero_grads(self):
         for p in self.params:
             p.grad[...] = 0.0

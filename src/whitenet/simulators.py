@@ -11,11 +11,14 @@ Three systems:
 * a synthetic geared motor whose shaft couples to the rotor through a
   dead zone, the classic backlash nonlinearity.
 
-``simulate`` rolls a system from its documented initial state over a given
-actuation sequence and records observation channels, optionally adding
-i.i.d. Gaussian measurement noise.  Dynamics always evolve on the noiseless
-state.  The rollouts are plain-python scalar loops: each step is a handful
-of scalar operations, too small for numpy calls to pay off.
+``simulate`` rolls a system from its documented initial state, or a given
+one, over an actuation sequence and records observation channels,
+optionally adding i.i.d. Gaussian measurement noise.  Dynamics always evolve
+on the noiseless state.  One rollout loop serves every system: it records
+the state, then calls the system's single-step function below, so the
+tested step is the one that makes the data.  It runs on Python floats: each
+step is a handful of scalar operations, too small for numpy calls to pay
+off.
 """
 
 import math
@@ -144,8 +147,9 @@ def double_pendulum_accel(state, p):
     return _dp_accel(th1, w1, th2, w2, p.m1, p.m2, p.l1, p.l2, p.g)
 
 
-def _dp_rk4(th1, w1, th2, w2, a1, a2, m1, m2, l1, l2, g, dt):
+def _dp_rk4(th1, w1, th2, w2, a1, a2, p):
     # (a1, a2) is the first stage: the accelerations at the current state
+    m1, m2, l1, l2, g, dt = p.m1, p.m2, p.l1, p.l2, p.g, p.dt
     k1 = (w1, a1, w2, a2)
     a1, a2 = _dp_accel(th1 + 0.5 * dt * k1[0], w1 + 0.5 * dt * k1[1],
                        th2 + 0.5 * dt * k1[2], w2 + 0.5 * dt * k1[3],
@@ -168,9 +172,16 @@ def _dp_rk4(th1, w1, th2, w2, a1, a2, m1, m2, l1, l2, g, dt):
 
 def step_double_pendulum(state, p):
     """One classical RK4 step of the free-fall double pendulum."""
-    th1, w1, th2, w2 = state
-    a1, a2 = _dp_accel(th1, w1, th2, w2, p.m1, p.m2, p.l1, p.l2, p.g)
-    return _dp_rk4(th1, w1, th2, w2, a1, a2, p.m1, p.m2, p.l1, p.l2, p.g, p.dt)
+    return _dp_rk4(*state, *double_pendulum_accel(state, p), p)
+
+
+def _step_double_pendulum_staged(state, _, p):
+    # step_double_pendulum on (th1, w1, th2, w2, a1, a2), where (a1, a2) are
+    # the accelerations at the state: they are the step's first RK4 stage
+    # and the recorded alpha1, so each step evaluates them once.  The input
+    # is unused: the double pendulum is unactuated.
+    state = _dp_rk4(*state, p)
+    return state + double_pendulum_accel(state, p)
 
 
 def double_pendulum_energy(state, p):
@@ -204,61 +215,15 @@ def step_backlash_motor(state, u, p):
 
 
 # ---------------------------------------------------------------------------
-# Whole-trajectory rollouts (record state, then step): the hot loops, with
-# the arithmetic of the single steps above written out on scalars.
+# Whole-trajectory rollouts: record the state, then take the step above.
 
-def _rollup_pendulum(theta0, omega0, u, g, l, m, dt, clip):
-    steps = u.shape[0]
-    thetas = np.empty(steps)
-    omegas = np.empty(steps)
-    th = theta0
-    om = omega0
-    for t in range(steps):
-        thetas[t] = th
-        omegas[t] = om
-        om = om + dt * ((3.0 * g / (2.0 * l)) * math.sin(th)
-                        + (3.0 / (m * l * l)) * u[t])
-        if om > clip:
-            om = clip
-        elif om < -clip:
-            om = -clip
-        th = math.pi - ((math.pi - (th + dt * om)) % (2.0 * math.pi))
-    return thetas, omegas
-
-
-def _rollup_double_pendulum(s0, steps, m1, m2, l1, l2, g, dt):
-    # records the observed channels theta1, omega1 and alpha1; alpha1 is
-    # the first RK4 stage's, at the recorded state
-    out = np.empty((steps, 3))
-    th1, w1, th2, w2 = s0[0], s0[1], s0[2], s0[3]
-    for t in range(steps):
-        a1, a2 = _dp_accel(th1, w1, th2, w2, m1, m2, l1, l2, g)
-        out[t, 0] = th1
-        out[t, 1] = w1
-        out[t, 2] = a1
-        th1, w1, th2, w2 = _dp_rk4(th1, w1, th2, w2, a1, a2,
-                                   m1, m2, l1, l2, g, dt)
-    return out
-
-
-def _rollup_backlash(u, tau, gain, beta, dt):
-    steps = u.shape[0]
-    out = np.empty((steps, 3))
-    th_m = 0.0
-    th_s = 0.0
-    om = 0.0
-    for t in range(steps):
-        out[t, 0] = th_m
-        out[t, 1] = th_s
-        out[t, 2] = om
-        om = om + dt * (gain * u[t] - om) / tau
-        th_m = th_m + dt * om
-        gap = th_m - th_s
-        if gap > beta:
-            th_s = th_m - beta
-        elif gap < -beta:
-            th_s = th_m + beta
-    return out
+def _rollout(step, state, inputs, p):
+    """The state before each input, one row per input, stepped by ``step``."""
+    rows = []
+    for u in inputs:
+        rows.append(state)
+        state = step(state, u, p)
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +249,7 @@ BACKLASH_CHANNELS = ("theta_s", "omega_s")
 
 PENDULUM_INIT = (math.pi, 0.0)                       # hanging at rest
 DOUBLE_PENDULUM_INIT = (math.pi / 2, 0.0, math.pi / 2, 0.0)   # both at 90 deg
+BACKLASH_INIT = (0.0, 0.0, 0.0)                      # at rest, gap closed
 
 
 def simulate(system, params, actions, noise_sigma, rng, init_state=None):
@@ -293,9 +259,12 @@ def simulate(system, params, actions, noise_sigma, rng, init_state=None):
     records only the big link, (theta1, omega1, alpha1), with alpha1 taken
     from the equations of motion at the noiseless state; the backlash motor
     records shaft position and a backward-difference shaft velocity, the way
-    an encoder pipeline would produce it.  ``noise_sigma > 0`` adds i.i.d.
-    Gaussian noise to every recorded channel; the underlying dynamics stay
-    noiseless.  Bit-reproducible given the same seed and arguments.
+    an encoder pipeline would produce it (0 at the first row).  The rollout
+    starts from ``init_state``, in the state layout of the system's step
+    function, or from the documented start when it is None.
+    ``noise_sigma > 0`` adds i.i.d. Gaussian noise to every recorded
+    channel; the underlying dynamics stay noiseless.  Bit-reproducible given
+    the same seed and arguments.
     """
     actions = np.asarray(actions, dtype=np.float64)
     if actions.ndim != 2:
@@ -303,40 +272,40 @@ def simulate(system, params, actions, noise_sigma, rng, init_state=None):
     steps = actions.shape[0]
     if steps < 1:
         raise DomainError("need at least one step")
+    if system not in SYSTEMS:
+        raise ConfigError(f"unknown system {system!r}; choose from {SYSTEMS}")
+    init = {"pendulum": PENDULUM_INIT, "double_pendulum": DOUBLE_PENDULUM_INIT,
+            "backlash": BACKLASH_INIT}[system]
+    if init_state is not None:
+        if len(init_state) != len(init):
+            raise ShapeError(f"{system} init_state needs {len(init)} values, "
+                             f"got {len(init_state)}")
+        init = tuple(float(x) for x in init_state)
 
-    if system == "pendulum":
-        if actions.shape[1] != 1:
-            raise ShapeError("pendulum takes exactly one action channel")
-        th0, om0 = PENDULUM_INIT if init_state is None else init_state
-        u = np.ascontiguousarray(actions[:, 0])
-        thetas, omegas = _rollup_pendulum(
-            th0, om0, u, params.g, params.l, params.mass, params.dt,
-            params.omega_clip)
-        clean = np.column_stack([np.cos(thetas), np.sin(thetas), omegas])
-        names, action_names = PENDULUM_CHANNELS, ("u",)
-    elif system == "double_pendulum":
+    if system == "double_pendulum":
         if actions.shape[1] != 0:
             raise ShapeError("double pendulum is unactuated; pass (T, 0) actions")
-        s0 = np.asarray(DOUBLE_PENDULUM_INIT if init_state is None else init_state,
-                        dtype=np.float64)
-        clean = _rollup_double_pendulum(
-            s0, steps, params.m1, params.m2, params.l1, params.l2,
-            params.g, params.dt)
+        full = _rollout(_step_double_pendulum_staged,
+                        init + double_pendulum_accel(init, params),
+                        [None] * steps, params)
+        clean = full[:, [0, 1, 4]]
         names, action_names = DOUBLE_PENDULUM_CHANNELS, ()
-    elif system == "backlash":
-        if actions.shape[1] != 1:
-            raise ShapeError("backlash motor takes exactly one action channel")
-        u = np.ascontiguousarray(actions[:, 0])
-        full = _rollup_backlash(u, params.time_constant, params.gain,
-                                params.deadzone_halfwidth, params.dt)
-        omega_s = np.empty(steps)
-        omega_s[0] = 0.0
-        if steps > 1:
-            omega_s[1:] = np.diff(full[:, 1]) / params.dt
-        clean = np.column_stack([full[:, 1], omega_s])
-        names, action_names = BACKLASH_CHANNELS, ("u",)
     else:
-        raise ConfigError(f"unknown system {system!r}; choose from {SYSTEMS}")
+        if actions.shape[1] != 1:
+            raise ShapeError(f"{system} takes exactly one action channel")
+        u = actions[:, 0].tolist()
+        if system == "pendulum":
+            full = _rollout(step_pendulum, init, u, params)
+            clean = np.column_stack([np.cos(full[:, 0]), np.sin(full[:, 0]),
+                                     full[:, 1]])
+            names = PENDULUM_CHANNELS
+        else:
+            full = _rollout(step_backlash_motor, init, u, params)
+            omega_s = np.zeros(steps)
+            omega_s[1:] = np.diff(full[:, 1]) / params.dt
+            clean = np.column_stack([full[:, 1], omega_s])
+            names = BACKLASH_CHANNELS
+        action_names = ("u",)
 
     if noise_sigma < 0:
         raise DomainError(f"noise_sigma must be >= 0, got {noise_sigma}")

@@ -29,7 +29,7 @@ from .datasets import (
     desk_regimes,
     normalize_fit_apply,
     split,
-    write_manifest,
+    write_json,
 )
 from .errors import ConfigError, DivergenceError, ShapeError
 from .losses import LossConfig, composite_loss, composite_value
@@ -411,9 +411,13 @@ def prepare_data(system, lb=10, lf=10, data_seed=0, regimes=None,
             "manifests": manifests}
 
 
+def lam_tag(lam):
+    """Lambda as it appears in file and run names: 0.02 -> 0p02."""
+    return f"{lam:g}".replace(".", "p")
+
+
 def run_name_for(system, arch, lam, seed):
-    lam_tag = f"{lam:g}".replace(".", "p")
-    return f"{system}_{arch}_lam{lam_tag}_seed{seed}"
+    return f"{system}_{arch}_lam{lam_tag(lam)}_seed{seed}"
 
 
 def _run_group(system, arch, lam, seeds, data, cfg_base, lb, lf, out_dir,
@@ -513,9 +517,7 @@ def save_run(record, run_dir, dataset_manifests=None):
         doc["checkpoint_path"] = os.path.basename(doc["checkpoint_path"])
     if dataset_manifests is not None:
         doc["datasets"] = dataset_manifests
-    with open(os.path.join(run_dir, "record.json"), "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, os.path.join(run_dir, "record.json"))
     with open(os.path.join(run_dir, "losses.csv"), "w") as fh:
         fh.write("epoch,train_loss,val_loss,lr\n")
         for e, (tr, vl, lr) in enumerate(zip(record.train_losses,

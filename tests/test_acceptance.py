@@ -18,7 +18,7 @@ from conftest import record_criterion
 from whitenet import gradcheck
 from whitenet.cli import main
 from whitenet.evaluation import aggregate, chi2_upper_tail, emit_comparison, evaluate
-from whitenet.losses import LossConfig, autocorr_1d_per_lag, ljb_statistic
+from whitenet.losses import LossConfig, ljb_statistic
 from whitenet.numerics import RngState
 from whitenet.simulators import (
     BacklashMotorParams,
@@ -133,7 +133,7 @@ def test_criterion_1_gradient_suite():
 
 def test_criterion_2_whiteness_calibration():
     rows = RngState(2026).normal(size=(2000, 1000))
-    stat = ljb_statistic(rows, LossConfig(lags=5))
+    stat, _ = ljb_statistic(rows, LossConfig(lags=5))
     tail = chi2_upper_tail(11.07, 5)
     ok = 4.5 <= stat <= 5.5 and abs(tail - 0.05) <= 0.002
     assert record_criterion(
@@ -145,10 +145,10 @@ def test_criterion_2_whiteness_calibration():
 def test_criterion_3_closed_forms():
     tiny = LossConfig(lags=5, epsilon=1e-300)
     alt = np.array([[1.0, -1.0] * 5])
-    stat = ljb_statistic(alt, tiny)
+    stat, _ = ljb_statistic(alt, tiny)
     n = 10
     const = np.full((1, n), 3.0)
-    rho = autocorr_1d_per_lag(const, 5, epsilon=1e-300)
+    _, rho = ljb_statistic(const, tiny)
     expect = np.array([(n - k) / n for k in range(1, 6)])
     rho_err = float(np.max(np.abs(rho - expect)))
     ok = abs(stat - 42.0) < 1e-9 and rho_err < 1e-12

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,9 @@ from whitenet.datasets import (
     dataset_manifest,
     fit_stats,
     normalize_fit_apply,
-    read_manifest,
     split,
     window,
-    write_manifest,
+    write_json,
 )
 from whitenet.errors import ConfigError, CsvParseError, DomainError, ShapeError
 from whitenet.numerics import RngState
@@ -200,6 +201,12 @@ def test_csv_round_trip(tmp_path):
     assert back.action_names == traj.action_names
 
 
+def test_csv_export_takes_trajectories_only(tmp_path):
+    for obj in (window(_ramp_traj(10), 3, 2), {"not": "exportable"}):
+        with pytest.raises(ConfigError):
+            csv_export(obj, tmp_path / "no.csv")
+
+
 def test_csv_header_contract(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x,s0,u0\n0,1,2\n0.1,2,3\n")
@@ -240,29 +247,14 @@ def test_csv_real_data_windows_to_three_channels(tmp_path):
     assert ds.inputs.shape == (21, 30)
 
 
-def test_csv_export_windowed(tmp_path):
-    ds = window(_ramp_traj(10), 3, 2)
-    path = tmp_path / "ds.csv"
-    csv_export(ds, path)
-    header = path.read_text().splitlines()[0].split(",")
-    assert header[0] == "x0_s0"
-    assert header[-1] == "y1_s1"
-    with pytest.raises(ConfigError):
-        csv_export({"not": "exportable"}, tmp_path / "no.csv")
-
-
 def test_manifest_round_trip(tmp_path):
     spec = RegimeSpec(amplitude=0.5, hold=5, n_traj=2, steps=30, seed=4)
     ds = build_regime("pendulum", spec)
     (normed,), stats = normalize_fit_apply(ds)
     doc = dataset_manifest(normed, stats)
     path = tmp_path / "manifest.json"
-    write_manifest(doc, path)
-    back = read_manifest(path)
+    write_json(doc, path)
+    back = json.loads(path.read_text())
     assert back == doc
     assert back["target_convention"] == "future states, raw units"
     assert back["meta"]["regime"]["amplitude"] == 0.5
-    bad = dict(doc, format_version=99)
-    write_manifest(bad, path)
-    with pytest.raises(ConfigError):
-        read_manifest(path)

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from test_losses import _acf_reference
 from whitenet.datasets import WindowedDataset
 from whitenet.errors import ConfigError, DomainError, ShapeError
 from whitenet.evaluation import (EvalReport, aggregate, chi2_upper_tail, emit,
                                  emit_comparison, evaluate, load_report,
                                  predict)
-from whitenet.losses import autocorr_1d_per_lag
 from whitenet.nn import DenseSpec, Model
 from whitenet.numerics import RngState
 
@@ -124,7 +124,7 @@ def test_evaluate_matches_reference_statistics():
         rm = targets[:, m::d]
         assert abs(rep.rmse[m] - math.sqrt(np.mean(rm * rm))) < 1e-14
         assert abs(rep.std[m] - np.std(rm)) < 1e-14
-        ref_acf = autocorr_1d_per_lag(np.ascontiguousarray(rm), 4)
+        ref_acf = _acf_reference(np.ascontiguousarray(rm), 4)
         assert np.allclose(rep.acf[m], ref_acf, atol=1e-14)
         assert abs(rep.sum_ac[m] - np.sum(np.abs(ref_acf))) < 1e-13
         assert abs(rep.sum_ac_sq[m] - np.sum(ref_acf ** 2)) < 1e-13

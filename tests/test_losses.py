@@ -5,8 +5,6 @@ from conftest import fd_grad, rel_err
 from whitenet.errors import DomainError, ShapeError
 from whitenet.losses import (
     LossConfig,
-    autocorr_1d_per_lag,
-    autocorr_2d,
     composite_loss,
     composite_value,
     ljb_loss,
@@ -47,6 +45,17 @@ def _ljb_reference(r, lags, epsilon):
             grad[i, t] -= 4.0 * stat * r[i, t] / s
         stat_sum += stat
     return stat_sum / b, grad / b
+
+
+def _acf_reference(r, lags, epsilon=1e-8):
+    """Reference: batch-averaged rho_k for k = 1..lags, one lag at a time."""
+    n = r.shape[1]
+    s = np.sum(r * r, axis=1) + epsilon
+    out = np.empty(lags)
+    for k in range(1, lags + 1):
+        c = np.sum(r[:, k:] * r[:, :n - k], axis=1)
+        out[k - 1] = np.mean(c / s)
+    return out
 
 
 def _ljb2d_reference(img, lags, epsilon):
@@ -106,14 +115,14 @@ def test_mse_shape_mismatch():
 
 def test_autocorr_alternating_row():
     r = np.array([[1.0, -1.0, 1.0, -1.0]])
-    per_lag = autocorr_1d_per_lag(r, 2, epsilon=1e-300)
+    _, per_lag = ljb_statistic(r, LossConfig(lags=2, epsilon=1e-300))
     assert np.max(np.abs(per_lag - [-0.75, 0.5])) < 1e-15
 
 
 def test_autocorr_constant_row():
     n = 10
     r = np.full((1, n), 3.0)
-    per_lag = autocorr_1d_per_lag(r, 5, epsilon=1e-300)
+    _, per_lag = ljb_statistic(r, LossConfig(lags=5, epsilon=1e-300))
     expect = np.array([(n - k) / n for k in range(1, 6)])
     assert np.max(np.abs(per_lag - expect)) < 1e-12
 
@@ -121,28 +130,39 @@ def test_autocorr_constant_row():
 def test_autocorr_lag_out_of_range():
     r = np.ones((1, 4))
     with pytest.raises(DomainError):
-        autocorr_1d_per_lag(r, 4)
+        ljb_statistic(r, LossConfig(lags=4))
     with pytest.raises(DomainError):
-        autocorr_1d_per_lag(r, 0)
+        ljb_statistic(r, LossConfig(lags=0))
 
 
 def test_ljb_statistic_alternating_is_42():
     r = np.array([[1.0, -1.0] * 5])
-    stat = ljb_statistic(r, TINY)
+    stat, _ = ljb_statistic(r, TINY)
     assert abs(stat - 42.0) < 1e-9
 
 
 def test_ljb_statistic_batch_average():
     row = np.array([1.0, -1.0] * 5)
     stacked = np.vstack([row, row, row])
-    assert abs(ljb_statistic(stacked, TINY) - 42.0) < 1e-9
+    assert abs(ljb_statistic(stacked, TINY)[0] - 42.0) < 1e-9
 
 
 def test_ljb_statistic_scale_invariant():
     r = RngState(0).normal(size=(8, 20))
-    a = ljb_statistic(r, TINY)
-    b = ljb_statistic(100.0 * r, TINY)
+    a, _ = ljb_statistic(r, TINY)
+    b, _ = ljb_statistic(100.0 * r, TINY)
     assert abs(a - b) < 1e-9 * max(1.0, abs(a))
+
+
+def test_ljb_statistic_acf_matches_reference_bitwise():
+    # the kernel's rho is the reference's, bit for bit, at every shape
+    rng = RngState(21)
+    for b, n, lags in [(1, 2, 1), (3, 6, 5), (17, 10, 5), (64, 25, 9), (5, 40, 39)]:
+        r = rng.normal(size=(b, n))
+        for eps in (1e-8, 1e-300):
+            _, acf = ljb_statistic(r, LossConfig(lags=lags, epsilon=eps))
+            assert acf.shape == (lags,)
+            assert np.array_equal(acf, _acf_reference(r, lags, eps))
 
 
 def test_ljb_statistic_lags_guard():
@@ -153,7 +173,7 @@ def test_ljb_statistic_lags_guard():
 def test_ljb_white_noise_calibration():
     # statistic is asymptotically chi-square(L): mean should sit near L = 5
     r = RngState(99).normal(size=(500, 500))
-    stat = ljb_statistic(r, LossConfig(lags=5))
+    stat, _ = ljb_statistic(r, LossConfig(lags=5))
     assert 4.4 < stat < 5.6
 
 
@@ -193,7 +213,7 @@ def test_ljb_dual_builds_agree():
             nv, ng = ljb_loss(resid, cfg)
             assert abs(ref_value - nv) < 1e-10 * max(1.0, abs(nv))
             assert np.allclose(ref_grad, ng, rtol=1e-10, atol=1e-12)
-            assert ljb_statistic(resid, cfg) == nv
+            assert ljb_statistic(resid, cfg)[0] == nv
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -295,22 +315,6 @@ def test_composite_penalty_increases_loss_for_correlated_residuals():
     assert c_loss > m_loss
 
 
-def test_autocorr_2d_checkerboard():
-    idx = np.add.outer(np.arange(8), np.arange(8))
-    cb = np.where(idx % 2 == 0, 1.0, -1.0)
-    # adjacent rows anti-correlate: c = -7*8, s = 64
-    assert abs(autocorr_2d(cb, 1, 0, epsilon=1e-300) - (-56.0 / 64.0)) < 1e-12
-    assert abs(autocorr_2d(cb, 0, 0, epsilon=1e-300) - 1.0) < 1e-12
-    assert abs(autocorr_2d(cb, 1, 1, epsilon=1e-300) - (49.0 / 64.0)) < 1e-12
-
-
-def test_autocorr_2d_guards():
-    with pytest.raises(ShapeError):
-        autocorr_2d(np.zeros(4), 0, 0)
-    with pytest.raises(DomainError):
-        autocorr_2d(np.zeros((3, 3)), 3, 0)
-
-
 def test_ljb_2d_gradient_matches_fd():
     cfg = LossConfig(two_d_lags=2)
     img = RngState(8).normal(size=(6, 6))
@@ -336,3 +340,5 @@ def test_ljb_2d_dual_builds_agree():
 def test_ljb_2d_lag_guard():
     with pytest.raises(DomainError):
         ljb_loss_2d(np.zeros((3, 8)), LossConfig(two_d_lags=3))
+    with pytest.raises(ShapeError):
+        ljb_loss_2d(np.zeros(4), LossConfig())

@@ -118,7 +118,7 @@ def test_init_scale_and_zero_biases():
 def test_param_count_lstm():
     specs, seq_shape = build_specs("lstm", 4, 3, 2, 2, hidden=24)
     model = Model(specs, RngState(1), seq_shape=seq_shape)
-    assert model.param_count() == 4 * (3 * 24 + 24 * 24 + 24) + (24 * 4 + 4)
+    assert sum(p.value.size for p in model.params) == 4 * (3 * 24 + 24 * 24 + 24) + (24 * 4 + 4)
 
 
 def _sigmoid_reference(z):

@@ -199,6 +199,58 @@ def test_simulate_double_pendulum_records_alpha1_of_each_step():
         state = step_double_pendulum(state, p)
 
 
+def _hand_rollout(step, state, actions, p):
+    """The states before each action, stepped by hand."""
+    rows = []
+    for u in actions[:, 0]:
+        rows.append(state)
+        state = step(state, float(u), p)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("init", [None, (0.3, -1.0)])
+def test_simulate_pendulum_is_the_step_rolled_by_hand(init):
+    p = PendulumParams()
+    acts = generate_actuation(RngState(7), 400, 2.0, 3)
+    traj = simulate("pendulum", p, acts, 0.0, RngState(0), init_state=init)
+    full = _hand_rollout(step_pendulum, init or (math.pi, 0.0), acts, p)
+    assert np.array_equal(traj.states[:, 0], np.cos(full[:, 0]))
+    assert np.array_equal(traj.states[:, 1], np.sin(full[:, 0]))
+    assert np.array_equal(traj.states[:, 2], full[:, 1])
+
+
+@pytest.mark.parametrize("init", [None, (0.4, 0.25, -1.5)])
+def test_simulate_backlash_is_the_step_rolled_by_hand(init):
+    p = BacklashMotorParams()
+    acts = generate_actuation(RngState(8), 400, 2.0, 7)
+    traj = simulate("backlash", p, acts, 0.0, RngState(0), init_state=init)
+    full = _hand_rollout(step_backlash_motor, init or (0.0, 0.0, 0.0), acts, p)
+    assert np.array_equal(traj.states[:, 0], full[:, 1])
+    assert traj.states[0, 1] == 0.0
+    assert np.array_equal(traj.states[1:, 1], np.diff(full[:, 1]) / p.dt)
+
+
+def test_simulate_backlash_starts_from_init_state():
+    p = BacklashMotorParams()
+    acts = np.zeros((5, 1))
+    rest = simulate("backlash", p, acts, 0.0, RngState(0))
+    assert np.all(rest.states == 0.0)
+    moved = simulate("backlash", p, acts, 0.0, RngState(0),
+                     init_state=(1.0, 0.95, 0.0))
+    assert moved.states[0, 0] == 0.95   # shaft position, inside the dead zone
+    assert np.all(moved.states[:, 0] == 0.95)
+
+
+def test_simulate_init_state_length_guard():
+    cases = [("pendulum", PendulumParams(), np.zeros((10, 1)), (0.1, 0.0, 0.0)),
+             ("double_pendulum", DoublePendulumParams(), np.zeros((10, 0)),
+              (0.1, 0.0)),
+             ("backlash", BacklashMotorParams(), np.zeros((10, 1)), (0.0, 0.0))]
+    for system, p, acts, init in cases:
+        with pytest.raises(ShapeError):
+            simulate(system, p, acts, 0.0, RngState(0), init_state=init)
+
+
 def test_simulate_backlash_velocity_is_backward_difference():
     p = BacklashMotorParams()
     acts = generate_actuation(RngState(4), 150, 1.0, 10)
