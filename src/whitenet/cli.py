@@ -341,7 +341,8 @@ def build_parser():
     group.add_argument("--seeds", dest="seeds", type=_seed_list, default=None)
     p.add_argument("--jobs", type=int, default=None,
                    help="train up to N seeds at once as one stacked model "
-                        "(default 1: one at a time); memory grows with N")
+                        "(default 1: one at a time); memory grows with N: "
+                        "a stack holds N copies of every activation")
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)

@@ -10,10 +10,12 @@ normalized, with per-channel statistics fit on the training split alone.
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import simulators
 from .errors import ConfigError, CsvParseError, DomainError, ShapeError
 from .numerics import RngState
 from .simulators import (
@@ -155,7 +157,7 @@ def regime_trajectories(system, spec, params=None):
                                       high=spec.init_jitter)
             jitter[1] = 0.0   # start at rest
             jitter[3] = 0.0
-            init = tuple(np.array([np.pi / 2, 0.0, np.pi / 2, 0.0]) + jitter)
+            init = tuple(np.add(simulators.DOUBLE_PENDULUM_INIT, jitter))
         else:
             actions = generate_actuation(traj_rng, spec.steps, spec.amplitude,
                                          spec.hold)
@@ -255,6 +257,11 @@ def normalize_fit_apply(train, *others):
 # hardware logs).  Header `t,<states...>,<actions...>`; action column names
 # start with "u"; values at 17 significant digits so floats round-trip.
 
+# Relative tolerance on each time step.  Exported times are fl(i * dt), whose
+# steps differ from dt by about n * 2.2e-16 relative over n rows.
+_DT_RTOL = 1e-6
+
+
 def csv_export(traj, path):
     if not isinstance(traj, Trajectory):
         raise ConfigError(f"cannot export {type(traj).__name__} as CSV")
@@ -267,7 +274,13 @@ def csv_export(traj, path):
 
 
 def csv_ingest(path):
-    """Read a trajectory CSV back; exact inverse of the export."""
+    """Read a trajectory CSV back; exact inverse of the export.
+
+    Every cell must be a finite number, and the time column must step
+    uniformly: each step equals the first, ``dt``, to within a relative
+    ``_DT_RTOL``, which allows for the rounding of exported ``i * dt``
+    times.  A violation raises :class:`CsvParseError` naming its line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -293,6 +306,7 @@ def csv_ingest(path):
                 raise CsvParseError(
                     f"state column {name!r} located among action columns", line=1)
         rows = []
+        line_nos = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -301,15 +315,29 @@ def csv_ingest(path):
                     f"expected {len(header)} fields, found {len(row)}",
                     line=line_no)
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise CsvParseError(str(exc), line=line_no) from None
+            for name, v in zip(header, values):
+                if not math.isfinite(v):
+                    raise CsvParseError(f"non-finite value {v} in column "
+                                        f"{name!r}", line=line_no)
+            rows.append(values)
+            line_nos.append(line_no)
     if len(rows) < 2:
         raise CsvParseError("need at least 2 data rows to recover dt")
     data = np.asarray(rows)
     dt = data[1, 0] - data[0, 0]
     if dt <= 0:
-        raise CsvParseError("time column must be strictly increasing")
+        raise CsvParseError("time column must be strictly increasing",
+                            line=line_nos[1])
+    steps = np.diff(data[:, 0])
+    off = np.flatnonzero(np.abs(steps - dt) > _DT_RTOL * dt)
+    if off.size:
+        k = off[0] + 1
+        raise CsvParseError(f"time step {steps[k - 1]!r} differs from dt "
+                            f"{dt!r}: the time column must be uniform",
+                            line=line_nos[k])
     d = len(state_names)
     return Trajectory(data[:, 1:1 + d], data[:, 1 + d:], dt,
                       tuple(state_names), tuple(action_names))

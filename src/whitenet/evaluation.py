@@ -140,11 +140,12 @@ class EvalReport:
 
 
 def predict(model, ds, chunk=2048):
-    model.set_mode("eval")
+    """Eval-mode predictions for every row of ``ds``, ``chunk`` rows at a
+    time.  Each chunk goes through :meth:`Model.predict`, which keeps no
+    backward cache, so the peak memory is that of one chunk's activations."""
     outs = []
     for start in range(0, ds.n, chunk):
-        pred, _ = model.forward(ds.inputs[start:start + chunk])
-        outs.append(pred)
+        outs.append(model.predict(ds.inputs[start:start + chunk]))
     return np.vstack(outs)
 
 

@@ -13,7 +13,6 @@ and small instances probe the same code paths as large ones.
 
 import time
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -161,7 +160,7 @@ def _layer_check(layer, x, ctx, cotangent):
 
 
 def _suite_dense(rng, n_instances):
-    ctx = SimpleNamespace(mode="eval", rng=None)
+    ctx = nn.LayerContext("eval", None, keep_cache=True)
     worst = 0.0
     total = 0
     for act in ("tanh", "relu", "linear"):
@@ -188,7 +187,7 @@ def _suite_dense(rng, n_instances):
 
 def _recurrent_suite(cls, spec_cls):
     def suite(rng, n_instances):
-        ctx = SimpleNamespace(mode="eval", rng=None)
+        ctx = nn.LayerContext("eval", None, keep_cache=True)
         worst = 0.0
         for _ in range(n_instances):
             d_in = _randint(rng, 1, 3)
@@ -211,7 +210,7 @@ def _suite_dropout(rng, n_instances):
         rate = (0.1, 0.3, 0.5)[_randint(rng, 0, 2)]
         layer = nn.Dropout(nn.DropoutSpec(rate), "g", None)
         x = rng.normal(size=(b, w))
-        ctx = SimpleNamespace(mode="train", rng=rng)
+        ctx = nn.LayerContext("train", rng, keep_cache=True)
         out, mask = layer.forward(x, ctx)
         c = rng.normal(size=out.shape)
         dx = layer.backward(mask, c)

@@ -16,7 +16,13 @@ shared by every member.  A single model keeps its 2-D parameters.
 ``forward`` returns a :class:`ForwardCache` holding every intermediate the
 backward pass needs; ``backward`` must be fed the cache of the immediately
 preceding forward on the same model instance.  Gradients accumulate into
-``Parameter.grad`` buffers, zeroed by the caller per batch.
+``Parameter.grad`` buffers, zeroed by the caller per batch.  ``predict`` is
+the eval-mode forward for callers that never run backward: it returns the
+outputs only, and the LSTM keeps none of its per-step gates and cells, the
+bulk of the cache.  It gives the same bits as ``forward``.
+
+Layers take a :class:`LayerContext`: the mode, the dropout streams and
+whether to keep what backward needs.
 
 Inner products here are plain BLAS-backed numpy matmuls, over whole
 batches and, in a stacked model, every member at once.
@@ -222,7 +228,10 @@ class LstmCell:
 
     One sigmoid call per step covers the i/f/o block.  Backward forms each
     gate gradient as ``((dc * g) * i) * (1 - i)`` and so on, factor by factor,
-    so the results match a per-gate implementation bit for bit.
+    so the results match a per-gate implementation bit for bit.  The
+    per-step gates and cells that backward reads are kept only when the
+    context asks for the cache: at 2048 rows they are most of a forward's
+    memory.
     """
 
     def __init__(self, spec, name, rng):
@@ -258,9 +267,10 @@ class LstmCell:
             c = f * c + i * g
             h = o * np.tanh(c)
             hs[..., t, :] = h
-            gates.append((ifo, g))
-            cells.append(c)
-        return hs, (x, hs, gates, cells)
+            if ctx.keep_cache:
+                gates.append((ifo, g))
+                cells.append(c)
+        return hs, (x, hs, gates, cells) if ctx.keep_cache else None
 
     def backward(self, cache, dout):
         x, hs, gates, cells = cache
@@ -340,9 +350,15 @@ _LAYER_CLASSES = {"dense": Dense, "rnn": RnnCell, "lstm": LstmCell, "dropout": D
 # Model: hidden stack + linear head over flat windows.
 
 @dataclass
-class _Ctx:
+class LayerContext:
+    """What a layer forward needs besides its input: the mode (train or
+    eval), the dropout stream(s), and whether to keep the cache backward
+    reads.  Only the LSTM reads ``keep_cache``: its per-step gates and cells
+    are the one cache that outgrows the layer's input and output."""
+
     mode: str
     rng: object
+    keep_cache: bool
 
 
 class ForwardCache:
@@ -436,10 +452,27 @@ class Model:
         train mode dropout masks are drawn from ``rng``, one stream per member
         for a stacked model.
         """
+        out, entries, head_cache = self._run(
+            inputs, LayerContext(self.mode, rng, keep_cache=True))
+        return out, ForwardCache(self, self._forward_token, entries,
+                                 head_cache)
+
+    def predict(self, inputs):
+        """Outputs of an eval-mode ``forward`` on ``inputs``, bit for bit,
+        without building the backward cache.
+
+        It counts as a forward: a cache taken before it is stale.
+        """
+        out, _, _ = self._run(inputs,
+                              LayerContext("eval", None, keep_cache=False))
+        return out
+
+    def _run(self, inputs, ctx):
+        """The layer forwards under ``ctx``; returns ``(outputs, entries,
+        head_cache)``, with no entries unless ``ctx.keep_cache``."""
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim < 2:
             raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
-        ctx = _Ctx(self.mode, rng)
         entries = []
         seq = False
         for layer in self.layers:
@@ -457,16 +490,15 @@ class Model:
                 seq = False
                 transition = "last_step"
             x, layer_cache = layer.forward(x, ctx)
-            entries.append((transition, layer_cache))
+            if ctx.keep_cache:
+                entries.append((transition, layer_cache))
         head_transition = None
         if seq:
             x = x[..., -1, :]
             head_transition = "last_step"
         out, head_cache = self.head.forward(x, ctx)
         self._forward_token += 1
-        cache = ForwardCache(self, self._forward_token,
-                             entries, (head_transition, head_cache))
-        return out, cache
+        return out, entries, (head_transition, head_cache)
 
     def backward(self, cache, grad_out):
         """Accumulate parameter gradients of ``outputs . grad_out``.

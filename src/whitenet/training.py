@@ -171,16 +171,16 @@ def dataset_loss(model, ds, loss_cfg, chunk=2048):
     """Composite loss of the model over a whole dataset, eval mode, exact.
 
     Chunked row-wise; both loss terms are means over rows, so the weighted
-    combination equals the single-pass value.  Uses the value-only path of
-    the loss, which builds no gradient arrays.  A stacked model runs every
-    chunk through all its members and gives one loss per member.
+    combination equals the single-pass value.  Forward only: each chunk goes
+    through :meth:`Model.predict`, which builds no backward cache, and the
+    value-only path of the loss builds no gradient arrays.  A stacked model
+    runs every chunk through all its members and gives one loss per member.
     """
-    model.set_mode("eval")
     total = 0.0
     for start in range(0, ds.n, chunk):
         xb = ds.inputs[start:start + chunk]
         yb = ds.targets[start:start + chunk]
-        pred, _ = model.forward(xb)
+        pred = model.predict(xb)
         total += composite_value(pred, yb, loss_cfg,
                                  n_channels=ds.d_out) * xb.shape[0]
     return total / ds.n
@@ -480,10 +480,11 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=10, lf=10,
     as one stacked model (see :func:`fit_stack`); ``jobs=1`` fits them one
     by one.  Each run's record and checkpoint are the same bits either way.
     A stack holds ``jobs`` copies of every activation, so memory grows with
-    ``jobs``.  Failures (divergence included) become error records; the
-    matrix finishes.  Results come back in job order, so equal inputs give
-    equal outputs, and with ``out_dir`` set every run leaves a manifest +
-    checkpoint directory.
+    ``jobs``; validation runs forward only, so its 2048-row chunks add their
+    activations but no backward cache.  Failures (divergence included)
+    become error records; the matrix finishes.  Results come back in job
+    order, so equal inputs give equal outputs, and with ``out_dir`` set
+    every run leaves a manifest + checkpoint directory.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from whitenet import simulators
 from whitenet.datasets import (
     NormalizationStats,
     RegimeSpec,
@@ -12,8 +14,10 @@ from whitenet.datasets import (
     csv_export,
     csv_ingest,
     dataset_manifest,
+    desk_regimes,
     fit_stats,
     normalize_fit_apply,
+    regime_trajectories,
     split,
     window,
     write_json,
@@ -104,6 +108,18 @@ def test_build_regime_double_pendulum_jitters_inits():
     # jitter perturbs angles only; every trajectory still starts at rest
     assert ds.inputs[0][1] != ds.inputs[n_per][1] or \
         ds.inputs[0][0] != ds.inputs[n_per][0]
+
+
+def test_double_pendulum_regimes_start_from_the_documented_state(monkeypatch):
+    start = (0.3, 0.0, -0.7, 0.0)
+    monkeypatch.setattr(simulators, "DOUBLE_PENDULUM_INIT", start)
+    for spec in desk_regimes("double_pendulum"):
+        # noise off and a short rollout: only the recorded start matters here
+        spec = replace(spec, noise_sigma=0.0, steps=2)
+        for traj in regime_trajectories("double_pendulum", spec):
+            theta1, omega1, _ = traj.states[0]
+            assert abs(theta1 - start[0]) <= spec.init_jitter
+            assert omega1 == 0.0
 
 
 def test_regime_spec_validation():
@@ -229,6 +245,40 @@ def test_csv_non_numeric_names_line(tmp_path):
     with pytest.raises(CsvParseError) as exc:
         csv_ingest(path)
     assert exc.value.line == 3
+
+
+def test_csv_long_export_round_trips_its_dt(tmp_path):
+    # exported times are fl(i * dt); their steps wander from dt in the last
+    # bits, more so the longer the log
+    traj = _ramp_traj(20000, dt=0.1)
+    path = tmp_path / "long.csv"
+    csv_export(traj, path)
+    back = csv_ingest(path)
+    assert back.dt == traj.dt
+    assert np.array_equal(back.states, traj.states)
+
+
+@pytest.mark.parametrize("times,bad_line", [
+    (("0", "0.01", "0.5", "0.4"), 4),     # a jump, then a step backwards
+    (("0", "0.01", "0.02", "0.02"), 5),   # a repeated time
+    (("0.5", "0.4", "0.3", "0.2"), 3),    # decreasing from the start
+])
+def test_csv_non_uniform_time_names_line(tmp_path, times, bad_line):
+    path = tmp_path / "t.csv"
+    path.write_text("t,s0,u0\n" + "".join(f"{t},1,2\n" for t in times))
+    with pytest.raises(CsvParseError) as exc:
+        csv_ingest(path)
+    assert exc.value.line == bad_line
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_csv_non_finite_cell_names_line(tmp_path, cell):
+    path = tmp_path / "t.csv"
+    path.write_text(f"t,s0,u0\n0,1,2\n0.1,2,3\n0.2,{cell},3\n0.3,4,5\n")
+    with pytest.raises(CsvParseError) as exc:
+        csv_ingest(path)
+    assert exc.value.line == 4
+    assert "s0" in str(exc.value)
 
 
 def test_csv_real_data_windows_to_three_channels(tmp_path):

@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import fd_grad, rel_err
+from whitenet.datasets import WindowedDataset
 from whitenet.errors import ConfigError, ShapeError, StateError
+from whitenet.evaluation import predict
 from whitenet.nn import (
     Dense,
     DenseSpec,
     Dropout,
     DropoutSpec,
+    LayerContext,
     LstmCell,
     LstmSpec,
     Model,
@@ -96,7 +101,7 @@ def test_dense_hand_gradient():
     layer = Dense(DenseSpec(1, 1, "linear"), "L", None)
     layer.w.value[...] = 2.0
     x = np.array([[3.0]])
-    out, cache = layer.forward(x, type("C", (), {"mode": "eval", "rng": None})())
+    out, cache = layer.forward(x, _ctx())
     assert out[0, 0] == 6.0
     dx = layer.backward(cache, np.array([[1.0]]))
     assert layer.w.grad[0, 0] == 3.0
@@ -216,7 +221,7 @@ def test_lstm_matches_reference_exactly(batch, steps, d_in, hid, scale, bias):
     dout = RngState(2).normal(size=(batch, steps, hid))
     hs_ref, dx_ref, gwx, gwh, gb, zs = _lstm_reference(
         cell.wx.value, cell.wh.value, cell.b.value, x, dout)
-    hs, cache = cell.forward(x, None)
+    hs, cache = cell.forward(x, _ctx())
     dx = cell.backward(cache, dout)
     assert np.array_equal(hs, hs_ref)
     assert np.array_equal(dx, dx_ref)
@@ -238,7 +243,7 @@ def _same_bits(a, b):
 
 
 def _ctx(mode="eval", rng=None):
-    return type("C", (), {"mode": mode, "rng": rng})()
+    return LayerContext(mode, rng, keep_cache=True)
 
 
 # (layer class, spec, one member's input shape)
@@ -312,7 +317,7 @@ def test_dropout_train_statistics():
     model.set_mode("train")
     x = np.ones((3000, 12))
     out, _ = model.layers[0].forward(
-        x, type("C", (), {"mode": "train", "rng": RngState(9)})())
+        x, _ctx("train", RngState(9)))
     dropped = float((out == 0.0).mean())
     assert abs(dropped - 0.3) < 0.02
     survivors = out[out != 0.0]
@@ -338,7 +343,7 @@ def test_dropout_train_needs_rng():
 def test_dropout_fixed_mask_gradient():
     # with the mask held fixed, dropout backward is elementwise multiply
     layer = Dropout(DropoutSpec(0.4), "d", None)
-    ctx = type("C", (), {"mode": "train", "rng": RngState(2)})()
+    ctx = _ctx("train", RngState(2))
     x = RngState(3).normal(size=(5, 6))
     out, mask = layer.forward(x, ctx)
     assert np.array_equal(out, x * mask)
@@ -372,6 +377,73 @@ def test_stale_cache_rejected():
     model.forward(x)
     with pytest.raises(StateError):
         model.backward(cache, out)
+
+
+def test_predict_makes_an_earlier_cache_stale():
+    specs, seq_shape = build_specs("lstm", 4, 3, 2, 2, hidden=5)
+    model = Model(specs, RngState(1), seq_shape=seq_shape)
+    x = RngState(2).normal(size=(3, 12))
+    out, cache = model.forward(x)
+    model.predict(x)
+    with pytest.raises(StateError):
+        model.backward(cache, out)
+
+
+@pytest.mark.parametrize("arch", ["dense", "rnn", "lstm"])
+def test_predict_matches_eval_forward_exactly(arch):
+    # dropout=0.2 puts an eval-mode (identity) dropout layer in front
+    specs, seq_shape = build_specs(arch, 4, 3, 2, 2, hidden=5, dropout=0.2)
+    members = [Model(specs, RngState(50 + s), seq_shape) for s in range(3)]
+    stacked = stack_models(members)
+    x = RngState(6).normal(size=(3, 9, 12))
+    for model, inputs in ((members[0], x[0]),   # a single model
+                          (stacked, x),         # a stack, one input per member
+                          (stacked, x[0])):     # a stack sharing one input
+        model.set_mode("eval")
+        want, _ = model.forward(inputs)
+        assert _same_bits(model.predict(inputs), want)
+
+
+def _peak_bytes(func):
+    """Peak traced allocation while ``func()`` runs, above what was live
+    before it; what ``func`` returns is still live at the end."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = func()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - base
+
+
+def _desk_lstm():
+    specs, seq_shape = build_specs("lstm", 10, 3, 10, 3)   # hidden 24
+    model = Model(specs, RngState(3), seq_shape=seq_shape)
+    model.set_mode("eval")
+    return model
+
+
+def test_predict_peak_memory_is_under_half_of_forward():
+    model = _desk_lstm()
+    x = RngState(4).normal(size=(2048, 30))
+    forward_peak = _peak_bytes(lambda: model.forward(x))
+    predict_peak = _peak_bytes(lambda: model.predict(x))
+    assert predict_peak < 0.5 * forward_peak, (predict_peak, forward_peak)
+
+
+def test_chunked_predict_peaks_below_one_forward_chunk():
+    model = _desk_lstm()
+    rows = 3 * 2048
+    ds = WindowedDataset(inputs=RngState(5).normal(size=(rows, 30)),
+                         targets=np.zeros((rows, 30)), lb=10, lf=10,
+                         input_names=("a", "b", "c"),
+                         target_names=("a", "b", "c"))
+    forward_peak = _peak_bytes(lambda: model.forward(ds.inputs[:2048]))
+    predict_peak = _peak_bytes(lambda: predict(model, ds, chunk=2048))
+    assert predict_peak < forward_peak, (predict_peak, forward_peak)
 
 
 def test_foreign_cache_rejected():
