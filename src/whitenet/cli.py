@@ -216,7 +216,8 @@ def _eval_one_dir(run_dir, data_cache, lags_override=None):
                                        lf=config["lf"],
                                        data_seed=config["data_seed"])
     data = data_cache[key]
-    lags = lags_override if lags_override else config["train"]["lags"]
+    lags = (lags_override if lags_override is not None
+            else config["train"]["lags"])
     cid = _config_id(config)
     run_id = os.path.basename(os.path.normpath(run_dir))
     reports = {}
@@ -227,6 +228,8 @@ def _eval_one_dir(run_dir, data_cache, lags_override=None):
 
 
 def cmd_eval(args):
+    if args.lags is not None and args.lags < 1:
+        raise UsageError(f"--lags must be >= 1, got {args.lags}")
     for run_dir in args.run_dirs:
         # a shell glob over a train output also matches its matrix JSON
         if os.path.exists(run_dir) and not os.path.isdir(run_dir):
@@ -276,16 +279,12 @@ def cmd_eval(args):
 # gradcheck
 
 def cmd_gradcheck(args):
-    components = args.component if args.component else None
-    if components:
-        bad = sorted(set(components) - set(gradcheck_mod.ALL_COMPONENTS))
-        if bad:
-            raise UsageError(
-                f"unknown component(s): {', '.join(bad)}; expected "
-                f"{', '.join(gradcheck_mod.ALL_COMPONENTS)}")
-    results = gradcheck_mod.run_suites(components=components,
-                                       n_instances=args.instances,
-                                       tol=args.tol, seed=args.seed)
+    try:
+        results = gradcheck_mod.run_suites(components=args.component,
+                                           n_instances=args.instances,
+                                           tol=args.tol, seed=args.seed)
+    except ConfigError as exc:
+        raise UsageError(str(exc))
     for res in results:
         print(res.line())
     bad = [res for res in results if not res.ok]

@@ -6,9 +6,17 @@ keeps the worst relative error seen.  Components are resolved through their
 modules at call time, so a patched-in wrong gradient is caught instead of a
 stale function reference passing silently.
 
+Finite differencing takes one batched call per checked tensor: every
+perturbation of the tensor, one entry raised or lowered by h, becomes a
+member of a stack, and the stack runs through the stacked layers or the
+stacked composite loss at once.  Each member goes through the same
+floating-point operations as the perturbed tensor alone, so every difference
+is bit for bit that of a loop over entries.  ``mse``, ``ljb_loss`` and
+``ljb_loss_2d`` take no member axis and are called once per member.
+
 The sizes are deliberately tiny (widths and windows of a handful of
-elements): finite differencing costs two forward passes per scalar entry,
-and small instances probe the same code paths as large ones.
+elements): a tensor of n entries makes a stack of 2n members, and small
+instances probe the same code paths as large ones.
 """
 
 import time
@@ -53,20 +61,31 @@ def _randint(rng, lo, hi):
     return lo + min(int(u * (hi - lo + 1)), hi - lo)
 
 
-def _fd_inplace(arr, func, h=_FD_STEP):
-    """Central differences of scalar ``func()`` wrt ``arr``, perturbed in place."""
-    grad = np.zeros_like(arr)
-    flat = arr.ravel()
-    gflat = grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = func()
-        flat[i] = orig - h
-        fm = func()
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return grad
+def _fd(arr, values, h=_FD_STEP):
+    """Central differences of a scalar objective with respect to ``arr``.
+
+    ``values`` takes a ``(2n, *arr.shape)`` stack, n = ``arr.size``, whose
+    member k is ``arr`` with entry k raised by ``h`` and member n + k the same
+    entry lowered, and returns the objective of each member.  ``arr`` itself
+    is never modified.
+    """
+    n = arr.size
+    stack = np.repeat(arr.reshape(1, n), 2 * n, axis=0)
+    entry = np.arange(n)
+    stack[entry, entry] += h
+    stack[n + entry, entry] -= h
+    f = np.asarray(values(stack.reshape((2 * n,) + arr.shape)))
+    return ((f[:n] - f[n:]) / (2.0 * h)).reshape(arr.shape)
+
+
+def _each(objective):
+    """``values`` for :func:`_fd` from an objective of one array."""
+    return lambda stack: [objective(member) for member in stack]
+
+
+def _summed(out, weight):
+    """Per member ``sum(out * weight)``, for an ``out`` with a member axis."""
+    return (out * weight).reshape(len(out), -1).sum(axis=1)
 
 
 def _worst_rel(analytic, numeric, floor=1e-7):
@@ -87,7 +106,7 @@ def _suite_mse(rng, n_instances):
         pred = rng.normal(size=(b, w))
         target = rng.normal(size=(b, w))
         _, grad = losses.mse(pred, target)
-        fd = _fd_inplace(pred, lambda: losses.mse(pred, target)[0])
+        fd = _fd(pred, _each(lambda p: losses.mse(p, target)[0]))
         worst = max(worst, _worst_rel(grad, fd))
     return worst, n_instances
 
@@ -101,7 +120,7 @@ def _suite_ljb(rng, n_instances):
         r = rng.normal(size=(b, n))
         cfg = losses.LossConfig(lags=lags)
         _, grad = losses.ljb_loss(r, cfg)
-        fd = _fd_inplace(r, lambda: losses.ljb_loss(r, cfg)[0])
+        fd = _fd(r, _each(lambda m: losses.ljb_loss(m, cfg)[0]))
         worst = max(worst, _worst_rel(grad, fd))
     return worst, n_instances
 
@@ -118,9 +137,8 @@ def _suite_composite(rng, n_instances):
         target = rng.normal(size=(b, lf * d))
         cfg = losses.LossConfig(lam=lams[i % len(lams)], lags=lags)
         _, grad = losses.composite_loss(pred, target, cfg, n_channels=d)
-        fd = _fd_inplace(
-            pred, lambda: losses.composite_loss(pred, target, cfg,
-                                                n_channels=d)[0])
+        fd = _fd(pred, lambda s: losses.composite_loss(s, target, cfg,
+                                                       n_channels=d)[0])
         worst = max(worst, _worst_rel(grad, fd))
     return worst, n_instances
 
@@ -134,7 +152,7 @@ def _suite_ljb2d(rng, n_instances):
         img = rng.normal(size=(h, w))
         cfg = losses.LossConfig(two_d_lags=lags)
         _, grad = losses.ljb_loss_2d(img, cfg)
-        fd = _fd_inplace(img, lambda: losses.ljb_loss_2d(img, cfg)[0])
+        fd = _fd(img, _each(lambda m: losses.ljb_loss_2d(m, cfg)[0]))
         worst = max(worst, _worst_rel(grad, fd))
     return worst, n_instances
 
@@ -144,18 +162,27 @@ def _suite_ljb2d(rng, n_instances):
 # whose analytic gradient is layer.backward(cache, c) plus the parameter
 # grads the call accumulates.
 
-def _layer_check(layer, x, ctx, cotangent):
-    def objective():
-        out, _ = layer.forward(x, ctx)
-        return float(np.sum(out * cotangent))
+def _twin(layer, j, stack):
+    """A copy of ``layer`` whose parameters carry the member axis of
+    ``stack``: parameter ``j`` is the stack, the others repeat per member."""
+    twin = type(layer)(layer.spec, "g", None)
+    for i, (p, q) in enumerate(zip(twin.params, layer.params)):
+        p.value = stack if i == j else np.repeat(q.value[None], len(stack),
+                                                 axis=0)
+    return twin
 
+
+def _layer_check(layer, x, ctx, cotangent):
     _, cache = layer.forward(x, ctx)
     for p in layer.params:
         p.grad[...] = 0.0
     dx = layer.backward(cache, cotangent)
-    worst = _worst_rel(dx, _fd_inplace(x, objective))
-    for p in layer.params:
-        worst = max(worst, _worst_rel(p.grad, _fd_inplace(p.value, objective)))
+    fd = _fd(x, lambda s: _summed(layer.forward(s, ctx)[0], cotangent))
+    worst = _worst_rel(dx, fd)
+    for j, p in enumerate(layer.params):
+        fd = _fd(p.value, lambda s: _summed(
+            _twin(layer, j, s).forward(x, ctx)[0], cotangent))
+        worst = max(worst, _worst_rel(p.grad, fd))
     return worst
 
 
@@ -215,7 +242,7 @@ def _suite_dropout(rng, n_instances):
         c = rng.normal(size=out.shape)
         dx = layer.backward(mask, c)
         # Fixed-mask objective: the mask captured above is held constant.
-        fd = _fd_inplace(x, lambda: float(np.sum(x * mask * c)))
+        fd = _fd(x, lambda s: _summed(s * mask, c))
         worst = max(worst, _worst_rel(dx, fd))
     return worst, n_instances
 
@@ -235,12 +262,15 @@ _SUITES = {
 def run_suites(components=None, n_instances=DEFAULT_INSTANCES,
                tol=DEFAULT_TOL, seed=0):
     """Run the named suites (all by default); returns a SuiteResult list."""
+    if n_instances < 1:
+        raise ConfigError(
+            f"gradcheck needs at least 1 instance, got {n_instances}")
     names = tuple(components) if components else ALL_COMPONENTS
-    for name in names:
-        if name not in _SUITES:
-            raise ConfigError(
-                f"unknown gradcheck component {name!r}; "
-                f"expected one of {', '.join(ALL_COMPONENTS)}")
+    bad = sorted(set(names) - set(_SUITES))
+    if bad:
+        raise ConfigError(
+            f"unknown component(s): {', '.join(bad)}; "
+            f"expected {', '.join(ALL_COMPONENTS)}")
     results = []
     for name in names:
         rng = RngState(seed).child(7000 + ALL_COMPONENTS.index(name))

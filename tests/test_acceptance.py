@@ -49,6 +49,20 @@ def _ratio(ljb_arm, base_arm, dsname, metric):
     return _mean_metric(ljb_arm, dsname, metric) / _mean_metric(base_arm, dsname, metric)
 
 
+def _margin(margins):
+    """Line text for the tightest of the named margins, each the relative
+    distance of a value to its cap; negative once a value is past it."""
+    name = min(margins, key=margins.get)
+    return f"margin {100.0 * margins[name]:.1f}% on {name}"
+
+
+def _state_margins(ratios, channels, cap):
+    """Relative margins of per-state ratios under ``cap``, per arch and state."""
+    return {f"{arch} {ch}": (cap - r) / cap
+            for arch, per_state in ratios.items()
+            for ch, r in zip(channels, per_state)}
+
+
 def _eval_arm(records, data):
     for rec in records:
         assert rec.error is None, f"run {rec.config.get('run_name')} failed: {rec.error}"
@@ -163,10 +177,12 @@ def test_criterion_4a_interpolation_whiteness(pendulum_matrix):
                            "interp", "sum_ac")
               for arch in PENDULUM_LAM}
     ok = all(np.all(r <= 0.3) for r in ratios.values())
+    channels = pendulum_matrix["dense"]["base"][0]["interp"].channels
     assert record_criterion(
         "4a", ok,
         "interp sum-AC ratio per state (cap 0.3): " + "; ".join(
-            f"{arch} {np.round(r, 3).tolist()}" for arch, r in ratios.items()))
+            f"{arch} {np.round(r, 3).tolist()}" for arch, r in ratios.items())
+        + "; " + _margin(_state_margins(ratios, channels, 0.3)))
 
 
 def test_criterion_4b_extrapolation_rmse(pendulum_matrix):
@@ -174,10 +190,12 @@ def test_criterion_4b_extrapolation_rmse(pendulum_matrix):
                            "extrap", "rmse")
               for arch in PENDULUM_LAM}
     ok = all(np.all(r < 1.0) for r in ratios.values())
+    channels = pendulum_matrix["dense"]["base"][0]["extrap"].channels
     assert record_criterion(
         "4b", ok,
         "extrap RMSE ratio per state (cap < 1): " + "; ".join(
-            f"{arch} {np.round(r, 3).tolist()}" for arch, r in ratios.items()))
+            f"{arch} {np.round(r, 3).tolist()}" for arch, r in ratios.items())
+        + "; " + _margin(_state_margins(ratios, channels, 1.0)))
 
 
 def test_criterion_4c_interpolation_rmse_and_runtime(pendulum_matrix):
@@ -186,10 +204,12 @@ def test_criterion_4c_interpolation_rmse_and_runtime(pendulum_matrix):
               for arch in PENDULUM_LAM}
     elapsed = pendulum_matrix["elapsed"]
     ok = all(np.all(r <= 3.0) for r in ratios.values()) and elapsed < 1800.0
+    channels = pendulum_matrix["dense"]["base"][0]["interp"].channels
     assert record_criterion(
         "4c", ok,
         "interp RMSE ratio per state (cap 3x): " + "; ".join(
             f"{arch} {np.round(r, 3).tolist()}" for arch, r in ratios.items())
+        + "; " + _margin(_state_margins(ratios, channels, 3.0))
         + f"; matrix runtime {elapsed:.0f}s (< 1800s)")
 
 
@@ -203,7 +223,9 @@ def test_criterion_5_hidden_dynamics_recovery(double_pendulum_runs):
     assert record_criterion(
         5, ok,
         f"baseline max|rho| {base_max:.4f} > 2x band {threshold:.4f}; "
-        f"LJB max|rho| over lags 1..5 {ljb_max:.4f} (<= 0.1)")
+        f"LJB max|rho| over lags 1..5 {ljb_max:.4f} (<= 0.1); " + _margin({
+            "baseline max|rho|": (base_max - threshold) / threshold,
+            "LJB max|rho|": (0.1 - ljb_max) / 0.1}))
 
 
 def test_criterion_6_frequency_extrapolation(backlash_arms):
@@ -214,11 +236,14 @@ def test_criterion_6_frequency_extrapolation(backlash_arms):
     rmse_ratio = ljb_rmse / base_rmse
     sac_ratio = ljb_sac / base_sac
     ok = bool(np.all(rmse_ratio < 1.0) and np.all(sac_ratio < 1.0))
+    channels = backlash_arms["baseline"][0].channels
     assert record_criterion(
         6, ok,
         f"hold-extrapolation, {len(SEEDS)} seeds: RMSE ratio "
         f"{np.round(rmse_ratio, 3).tolist()}, sum-AC ratio "
-        f"{np.round(sac_ratio, 3).tolist()} (both < 1 per state)")
+        f"{np.round(sac_ratio, 3).tolist()} (both < 1 per state); "
+        + _margin(_state_margins({"RMSE": rmse_ratio, "sum-AC": sac_ratio},
+                                 channels, 1.0)))
 
 
 def test_criterion_7_regularizer_interaction(backlash_arms, tmp_path):
@@ -236,7 +261,9 @@ def test_criterion_7_regularizer_interaction(backlash_arms, tmp_path):
         7, ok,
         f"extrap total sum-AC: dropout-only {totals['dropout_only']:.3f}, "
         f"LJB-only {totals['ljb_only']:.3f}, combo {totals['dropout_ljb']:.3f}; "
-        f"combo/min {ratio:.3f} (<= 1.1); comparison table emitted")
+        f"combo/min {ratio:.3f} (<= 1.1), "
+        f"{_margin({'combo/min': (1.1 - ratio) / 1.1})}; "
+        f"comparison table emitted")
 
 
 def test_criterion_8_physics():

@@ -214,6 +214,16 @@ def test_eval_rejects_a_file_among_run_dirs(tmp_path, capsys):
     assert not list(tmp_path.glob("*/report_*"))
 
 
+@pytest.mark.parametrize("lags", ["0", "-1"])
+def test_eval_lags_below_one_is_usage_error(tmp_path, capsys, lags):
+    assert _train(tmp_path, "--seed", "1", "--epochs", "1") == 0
+    run_dir = tmp_path / "pendulum_dense_lam1_seed1"
+    capsys.readouterr()
+    assert main(["eval", str(run_dir), "--lags", lags]) == 2
+    assert f"--lags must be >= 1, got {lags}" in capsys.readouterr().err
+    assert not list(run_dir.glob("report_*"))
+
+
 def test_eval_aggregate_over_seeds(tmp_path):
     assert _train(tmp_path, "--seeds", "1,2", "--epochs", "1") == 0
     dirs = [str(tmp_path / f"pendulum_dense_lam1_seed{s}") for s in (1, 2)]
@@ -249,6 +259,17 @@ def test_gradcheck_command_passes():
 def test_gradcheck_unknown_component(capsys):
     assert main(["gradcheck", "--component", "softmax"]) == 2
     assert "unknown component" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_gradcheck_instances_below_one_is_usage_error(capsys, instances):
+    assert main(["gradcheck", "--instances", instances]) == 2
+    captured = capsys.readouterr()
+    assert "at least 1 instance" in captured.err
+    assert "pass" not in captured.out
+    assert main(["gradcheck", "--component", "mse",
+                 "--instances", instances]) == 2
+    capsys.readouterr()
 
 
 def test_gradcheck_wrong_gradient_exits_nonzero(monkeypatch):
