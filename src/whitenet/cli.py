@@ -113,16 +113,48 @@ _TRAIN_DEFAULTS = {
 }
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _expected_type(key, value):
+    """What a --config ``value`` for ``key`` should be, if its JSON type is
+    wrong: the type of the key's default, where any number fits a float."""
+    default = _TRAIN_DEFAULTS[key]
+    if isinstance(default, list):
+        if not (isinstance(value, list) and all(map(_is_int, value))):
+            return "a list of integers"
+    elif isinstance(default, int):
+        if not _is_int(value):
+            return "an integer"
+    elif isinstance(default, float):
+        if not (_is_int(value) or isinstance(value, float)):
+            return "a number"
+    elif not (isinstance(value, str) or (value is None and default is None)):
+        return "a string"
+    return None
+
+
 def _merge_train_config(args):
     """Built-in defaults, overridden by --config file, overridden by flags."""
     merged = dict(_TRAIN_DEFAULTS)
     if args.config:
         with open(args.config) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise UsageError(f"{args.config} is not valid JSON: {exc}")
+        if not isinstance(doc, dict):
+            raise UsageError(f"{args.config} must hold a JSON object")
         unknown = sorted(set(doc) - set(_TRAIN_DEFAULTS))
         if unknown:
             raise UsageError(
                 f"unknown config keys: {', '.join(unknown)}")
+        for key, value in sorted(doc.items()):
+            expected = _expected_type(key, value)
+            if expected:
+                raise UsageError(
+                    f"config key {key!r} must be {expected}, got {value!r}")
         merged.update(doc)
     for key in _TRAIN_DEFAULTS:
         value = getattr(args, key, None)
@@ -148,10 +180,23 @@ def cmd_train(args):
         lam = 0.0
     else:
         lam = float(cfg["lam"])
-    seeds = [int(s) for s in cfg["seeds"]]
+    seeds = cfg["seeds"]
+    if not seeds:
+        raise UsageError("no seeds to train: the seed list is empty")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        # two runs of one seed would write the same run directory
+        raise UsageError(
+            f"seed(s) {', '.join(map(str, repeated))} given more than once")
     jobs = cfg["jobs"]
-    if not isinstance(jobs, int) or jobs < 1:
+    if jobs < 1:
         raise UsageError(f"--jobs must be an integer >= 1, got {jobs!r}")
+    if cfg["lags"] < 1:
+        raise UsageError(f"--lags must be >= 1, got {cfg['lags']}")
+    if lam != 0.0 and cfg["lf"] <= cfg["lags"]:
+        raise UsageError(
+            f"--lf {cfg['lf']} must exceed --lags {cfg['lags']} for the "
+            f"whitening loss")
     try:
         base = TrainConfig(
             lr0=cfg["lr"], batch=cfg["batch"], max_epochs=cfg["epochs"],
@@ -230,10 +275,17 @@ def _eval_one_dir(run_dir, data_cache, lags_override=None):
 def cmd_eval(args):
     if args.lags is not None and args.lags < 1:
         raise UsageError(f"--lags must be >= 1, got {args.lags}")
+    seen = {}
     for run_dir in args.run_dirs:
         # a shell glob over a train output also matches its matrix JSON
         if os.path.exists(run_dir) and not os.path.isdir(run_dir):
             raise UsageError(f"{run_dir} is not a run directory")
+        # one run given twice would count twice in an aggregate
+        real = os.path.realpath(run_dir)
+        if real in seen:
+            raise UsageError(
+                f"{run_dir} and {seen[real]} are the same run directory")
+        seen[real] = run_dir
     data_cache = {}
     by_config = {}
     for run_dir in args.run_dirs:

@@ -158,20 +158,14 @@ def evaluate(model, ds, lags=5, run_id="", dataset_id="", config_id=""):
     if ds.lf <= lags:
         raise DomainError(f"lookforward {ds.lf} must exceed lags {lags}")
     pred = predict(model, ds)
-    resid = ds.targets - pred
     d = ds.d_out
-    rmse = np.empty(d)
-    std = np.empty(d)
-    acf = np.empty((d, lags))
-    ljb = np.empty(d)
-    p_value = np.empty(d)
-    stat_cfg = LossConfig(lags=lags)
-    for m in range(d):
-        rm = np.ascontiguousarray(resid[:, m::d])
-        rmse[m] = math.sqrt(float(np.mean(rm * rm)))
-        std[m] = float(np.std(rm))
-        ljb[m], acf[m] = ljb_statistic(rm, stat_cfg)
-        p_value[m] = chi2_upper_tail(ljb[m], lags)
+    # (N, lf * d) step-major -> (d, N, lf): one block of windows per channel
+    resid = np.ascontiguousarray(
+        (ds.targets - pred).reshape(ds.n, ds.lf, d).transpose(2, 0, 1))
+    ljb, acf = ljb_statistic(resid, LossConfig(lags=lags))
+    rmse = np.array([math.sqrt(float(np.mean(rm * rm))) for rm in resid])
+    std = np.array([float(np.std(rm)) for rm in resid])
+    p_value = np.array([chi2_upper_tail(x, lags) for x in ljb])
     mse_value, _ = mse(pred, ds.targets)
     return EvalReport(
         config_id=config_id, run_id=run_id, dataset_id=dataset_id,

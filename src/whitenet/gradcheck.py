@@ -6,13 +6,12 @@ keeps the worst relative error seen.  Components are resolved through their
 modules at call time, so a patched-in wrong gradient is caught instead of a
 stale function reference passing silently.
 
-Finite differencing takes one batched call per checked tensor: every
-perturbation of the tensor, one entry raised or lowered by h, becomes a
-member of a stack, and the stack runs through the stacked layers or the
-stacked composite loss at once.  Each member goes through the same
-floating-point operations as the perturbed tensor alone, so every difference
-is bit for bit that of a loop over entries.  ``mse``, ``ljb_loss`` and
-``ljb_loss_2d`` take no member axis and are called once per member.
+Finite differencing takes one batched call per checked tensor in every
+suite: every perturbation of the tensor, one entry raised or lowered by h,
+becomes a member of a stack, and the stack runs through the stacked layers
+or the loss at once (every loss takes leading member axes).  Each member
+goes through the same floating-point operations as the perturbed tensor
+alone, so every difference is bit for bit that of a loop over entries.
 
 The sizes are deliberately tiny (widths and windows of a handful of
 elements): a tensor of n entries makes a stack of 2n members, and small
@@ -78,11 +77,6 @@ def _fd(arr, values, h=_FD_STEP):
     return ((f[:n] - f[n:]) / (2.0 * h)).reshape(arr.shape)
 
 
-def _each(objective):
-    """``values`` for :func:`_fd` from an objective of one array."""
-    return lambda stack: [objective(member) for member in stack]
-
-
 def _summed(out, weight):
     """Per member ``sum(out * weight)``, for an ``out`` with a member axis."""
     return (out * weight).reshape(len(out), -1).sum(axis=1)
@@ -106,7 +100,7 @@ def _suite_mse(rng, n_instances):
         pred = rng.normal(size=(b, w))
         target = rng.normal(size=(b, w))
         _, grad = losses.mse(pred, target)
-        fd = _fd(pred, _each(lambda p: losses.mse(p, target)[0]))
+        fd = _fd(pred, lambda s: losses.mse(s, target)[0])
         worst = max(worst, _worst_rel(grad, fd))
     return worst, n_instances
 
@@ -120,7 +114,7 @@ def _suite_ljb(rng, n_instances):
         r = rng.normal(size=(b, n))
         cfg = losses.LossConfig(lags=lags)
         _, grad = losses.ljb_loss(r, cfg)
-        fd = _fd(r, _each(lambda m: losses.ljb_loss(m, cfg)[0]))
+        fd = _fd(r, lambda s: losses.ljb_loss(s, cfg)[0])
         worst = max(worst, _worst_rel(grad, fd))
     return worst, n_instances
 
@@ -152,7 +146,7 @@ def _suite_ljb2d(rng, n_instances):
         img = rng.normal(size=(h, w))
         cfg = losses.LossConfig(two_d_lags=lags)
         _, grad = losses.ljb_loss_2d(img, cfg)
-        fd = _fd(img, _each(lambda m: losses.ljb_loss_2d(m, cfg)[0]))
+        fd = _fd(img, lambda s: losses.ljb_loss_2d(s, cfg)[0])
         worst = max(worst, _worst_rel(grad, fd))
     return worst, n_instances
 

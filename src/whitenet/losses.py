@@ -2,6 +2,17 @@
 analytic gradients, plus the statistic and the lag correlations it is built
 from, for diagnostics.
 
+Member axes
+-----------
+Every function takes leading member axes, as the stacked layers do: ``mse``
+and the composite losses take ``(..., batch, width)``, ``ljb_loss`` and
+``ljb_statistic`` take ``(..., batch, n)`` and ``ljb_loss_2d`` takes
+``(..., H, W)``.  Each returns one value per member and a gradient in the
+input's shape; a plain 2-D input returns a Python ``float``.  A target
+without the member axes is shared by every member.  Each member goes through
+the same floating-point operations, in the same order, as a call on that
+member alone, so stacking changes no bit of any value or gradient.
+
 Residual conventions
 --------------------
 A residual block is a ``(batch, n)`` float64 matrix: one lookforward window
@@ -30,13 +41,10 @@ a diagnostic report both.
 It takes every residual row of a batch at once; the composite losses write
 the residual of every channel (and of every member of a stacked model)
 once, channel-major, so one call covers them all, with a short loop over
-lags inside.  Each row goes through the same floating-point operations in
-the same order as a one-channel evaluation of the formula, so stacking
-channels or members changes no bit of the loss or of its gradient.  The
-value-only path, used by :func:`composite_value` for validation, builds no
-gradient arrays and returns the same bits as :func:`composite_loss`.  The
-2-D kernel, used by :func:`ljb_loss_2d`, is numpy too: one slice product
-per lag pair.
+lags inside.  The value-only path, used by :func:`composite_value` for
+validation, builds no gradient arrays and returns the same bits as
+:func:`composite_loss`.  The 2-D kernel, used by :func:`ljb_loss_2d`, is
+numpy too: one slice product per lag pair, over every member at once.
 """
 
 import functools
@@ -68,16 +76,38 @@ class LossConfig:
             raise DomainError(f"two_d_lags must be >= 1, got {self.two_d_lags}")
 
 
-def mse(pred, target):
-    """Mean squared error over all entries and its gradient w.r.t. ``pred``."""
+def _check_target(pred, target):
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
+    # a target without the member axes is shared by every member
+    if target.ndim < 2 or pred.shape[pred.ndim - target.ndim:] != target.shape:
         raise ShapeError(f"pred shape {pred.shape} != target shape {target.shape}")
-    diff = pred - target
-    loss = float(np.mean(diff * diff))
-    grad = (2.0 / diff.size) * diff
-    return loss, grad
+    return pred, target
+
+
+def _mse(diff, with_grad):
+    """Per-member mean square of ``diff = pred - target``, and with
+    ``with_grad`` its gradient w.r.t. ``pred``.
+
+    The mean over the last two axes is one pairwise sum over each member's
+    contiguous block, the same sum a flat ``np.mean`` of the member makes.
+    """
+    loss = np.mean(diff * diff, axis=(-2, -1))
+    if not with_grad:
+        return loss, None
+    return loss, (2.0 / (diff.shape[-2] * diff.shape[-1])) * diff
+
+
+def _per_member(loss):
+    return float(loss) if loss.ndim == 0 else loss
+
+
+def mse(pred, target):
+    """Mean squared error of each ``(batch, width)`` member and its gradient
+    w.r.t. ``pred``."""
+    pred, target = _check_target(pred, target)
+    loss, grad = _mse(pred - target, with_grad=True)
+    return _per_member(loss), grad
 
 
 # ---------------------------------------------------------------------------
@@ -126,34 +156,42 @@ def _ljb_kernel(r, lags, epsilon, batch=None):
 
 def _check_lags(r, lags):
     r = np.ascontiguousarray(r, dtype=np.float64)
-    if r.ndim != 2:
-        raise ShapeError(f"residuals must be 2-D (batch, n), got ndim={r.ndim}")
-    if lags >= r.shape[1]:
-        raise DomainError(f"lags {lags} must be < window length {r.shape[1]}")
+    if r.ndim < 2:
+        raise ShapeError(
+            f"residuals must be (..., batch, n), got ndim={r.ndim}")
+    if lags >= r.shape[-1]:
+        raise DomainError(f"lags {lags} must be < window length {r.shape[-1]}")
     return r
 
 
 def ljb_statistic(r, cfg):
     """Batch-averaged Ljung-Box statistic of residual rows, and the
-    batch-averaged rho_k, k = 1..lags, it is built from (value only)."""
+    batch-averaged rho_k, k = 1..lags, it is built from (value only).
+
+    A stacked ``(..., batch, n)`` input gives statistics of shape ``(...)``
+    and rho of shape ``(..., lags)``."""
     r = _check_lags(r, cfg.lags)
-    stat, rho, _ = _ljb_kernel(r, cfg.lags, cfg.epsilon)
-    return float(np.mean(stat)), rho.mean(axis=1)
+    *lead, b, n = r.shape
+    stat, rho, _ = _ljb_kernel(r.reshape(-1, n), cfg.lags, cfg.epsilon)
+    # row-major (..., lags), as a one-member call returns it
+    rho = np.ascontiguousarray(
+        np.moveaxis(rho.reshape(cfg.lags, *lead, b).mean(axis=-1), 0, -1))
+    return _per_member(stat.reshape(*lead, b).mean(axis=-1)), rho
 
 
 def ljb_loss(r, cfg):
-    """Ljung-Box statistic and its exact gradient w.r.t. every residual."""
+    """Ljung-Box statistic and its exact gradient w.r.t. every residual,
+    one batch-mean statistic per ``(batch, n)`` member."""
     r = _check_lags(r, cfg.lags)
-    stat, _, grad = _ljb_kernel(r, cfg.lags, cfg.epsilon, batch=r.shape[0])
-    return float(np.mean(stat)), grad
+    *lead, b, n = r.shape
+    stat, _, grad = _ljb_kernel(r.reshape(-1, n), cfg.lags, cfg.epsilon,
+                                batch=b)
+    return (_per_member(stat.reshape(*lead, b).mean(axis=-1)),
+            grad.reshape(r.shape))
 
 
 def _check_pair(pred, target, cfg, n_channels):
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    # a target without the member axes is shared by every member
-    if target.ndim < 2 or pred.shape[pred.ndim - target.ndim:] != target.shape:
-        raise ShapeError(f"pred shape {pred.shape} != target shape {target.shape}")
+    pred, target = _check_target(pred, target)
     if pred.shape[-1] % n_channels != 0:
         raise ShapeError(
             f"width {pred.shape[-1]} not divisible by n_channels {n_channels}")
@@ -169,20 +207,20 @@ def _channel_major(a, n_channels):
         .swapaxes(-1, -2)
 
 
-def _whitening(pred, target, cfg, n_channels, with_grad):
-    """Per-channel penalty terms lambda/d * mean statistic, and their gradient.
+def _whitening(diff, cfg, n_channels, with_grad):
+    """Per-channel penalty terms lambda/d * mean statistic of the residual
+    ``diff``, and their gradient.
 
-    The residual is written once, channel-major (row = (member, channel, i)),
+    The residual is copied once, channel-major (row = (member, channel, i)),
     so the kernel takes every member and channel in one call.  The terms
     have shape ``(..., n_channels)``; the gradient comes back as a
     ``(..., batch, lf, n_channels)`` view matching the step-major layout.
     """
-    *lead, b, width = pred.shape
+    *lead, b, width = diff.shape
     lf = width // n_channels
     scale = cfg.lam / n_channels
     resid = np.empty((*lead, n_channels, b, lf))
-    np.subtract(_channel_major(pred, n_channels),
-                _channel_major(target, n_channels), out=resid)
+    resid[...] = _channel_major(diff, n_channels)
     stat, _, grad = _ljb_kernel(resid.reshape(-1, lf), cfg.lags, cfg.epsilon,
                                 b if with_grad else None)
     terms = scale * stat.reshape(resid.shape[:-1]).mean(axis=-1)
@@ -201,10 +239,6 @@ def _add_terms(loss, terms):
     return functools.reduce(operator.add, by_channel, loss)
 
 
-def _per_member(loss):
-    return float(loss) if loss.ndim == 0 else loss
-
-
 def composite_loss(pred, target, cfg, n_channels=1):
     """MSE plus lambda times the channel-averaged Ljung-Box penalty.
 
@@ -216,11 +250,9 @@ def composite_loss(pred, target, cfg, n_channels=1):
     """
     pred, target = _check_pair(pred, target, cfg, n_channels)
     diff = pred - target
-    loss = np.mean(diff * diff, axis=(-2, -1))   # the same values as mse
-    grad = (2.0 / (diff.shape[-2] * diff.shape[-1])) * diff
+    loss, grad = _mse(diff, with_grad=True)
     if cfg.lam != 0.0:
-        terms, pgrad = _whitening(pred, target, cfg, n_channels,
-                                  with_grad=True)
+        terms, pgrad = _whitening(diff, cfg, n_channels, with_grad=True)
         grad.reshape(pgrad.shape)[...] += pgrad
         loss = _add_terms(loss, terms)
     return _per_member(loss), grad
@@ -230,10 +262,9 @@ def composite_value(pred, target, cfg, n_channels=1):
     """The value of :func:`composite_loss`, bit for bit, without gradients."""
     pred, target = _check_pair(pred, target, cfg, n_channels)
     diff = pred - target
-    loss = np.mean(diff * diff, axis=(-2, -1))
+    loss, _ = _mse(diff, with_grad=False)
     if cfg.lam != 0.0:
-        terms, _ = _whitening(pred, target, cfg, n_channels,
-                              with_grad=False)
+        terms, _ = _whitening(diff, cfg, n_channels, with_grad=False)
         loss = _add_terms(loss, terms)
     return _per_member(loss)
 
@@ -242,10 +273,17 @@ def composite_value(pred, target, cfg, n_channels=1):
 # 2-D (spatial) variant for residual images.
 
 def _ljb2d_value_grad(img, lags, epsilon):
-    h, w = img.shape
+    """Loss and gradient of each ``(H, W)`` member of ``img``, ``(..., H, W)``.
+
+    Each lag pair keeps one sum over the last two axes of a contiguous slice
+    product, which numpy reduces as one pairwise sum per member, the same sum
+    a flat ``np.sum`` of that member's product makes; summing rows and then
+    columns would change bits.  The scalars are ``(..., 1, 1)`` arrays.
+    """
+    h, w = img.shape[-2:]
     n = h * w
     coef = float(n * (n + 2))
-    s = float(np.sum(img * img)) + epsilon
+    s = np.sum(img * img, axis=(-2, -1), keepdims=True) + epsilon
     loss = 0.0
     grad = np.zeros_like(img)
     for p in range(lags + 1):
@@ -253,22 +291,26 @@ def _ljb2d_value_grad(img, lags, epsilon):
             if p == 0 and q == 0:
                 continue
             nv = (h - p) * (w - q)
-            c = float(np.sum(img[p:, q:] * img[:h - p, :w - q]))
-            rho = c / s
+            lo, hi = img[..., :h - p, :w - q], img[..., p:, q:]
+            rho = np.sum(hi * lo, axis=(-2, -1), keepdims=True) / s
             loss += coef * rho * rho / nv
             wgt = 2.0 * coef * rho / (nv * s)
-            grad[p:, q:] += wgt * img[:h - p, :w - q]
-            grad[:h - p, :w - q] += wgt * img[p:, q:]
+            grad[..., p:, q:] += wgt * lo
+            grad[..., :h - p, :w - q] += wgt * hi
     grad -= (4.0 * loss / s) * img
-    return loss, grad
+    return loss[..., 0, 0], grad
 
 
 def ljb_loss_2d(residual_image, cfg):
-    """Spatial Ljung-Box penalty over lag pairs (p, q) in [0, L]^2 \\ (0, 0)."""
+    """Spatial Ljung-Box penalty over lag pairs (p, q) in [0, L]^2 \\ (0, 0),
+    one value per ``(H, W)`` member, and its gradient."""
     img = np.ascontiguousarray(residual_image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ShapeError(f"residual image must be 2-D, got ndim={img.ndim}")
-    if cfg.two_d_lags >= min(img.shape):
+    if img.ndim < 2:
+        raise ShapeError(
+            f"residual image must be (..., H, W), got ndim={img.ndim}")
+    if cfg.two_d_lags >= min(img.shape[-2:]):
         raise DomainError(
-            f"two_d_lags {cfg.two_d_lags} must be < min of image shape {img.shape}")
-    return _ljb2d_value_grad(img, cfg.two_d_lags, cfg.epsilon)
+            f"two_d_lags {cfg.two_d_lags} must be < min of image shape "
+            f"{img.shape[-2:]}")
+    loss, grad = _ljb2d_value_grad(img, cfg.two_d_lags, cfg.epsilon)
+    return _per_member(loss), grad

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from whitenet import losses
+from whitenet import losses, training
 from whitenet.cli import main
 from whitenet.datasets import csv_ingest
 from whitenet.evaluation import load_report
@@ -145,6 +145,71 @@ def test_train_rejects_jobs_below_one(tmp_path, capsys):
     assert not any(p.is_dir() for p in tmp_path.iterdir())
 
 
+@pytest.fixture
+def no_data(monkeypatch):
+    """Fail any data build: a usage error must come before it."""
+    def prepare_data(*args, **kwargs):
+        raise AssertionError("data was built")
+
+    monkeypatch.setattr(training, "prepare_data", prepare_data)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seeds", ""], "seed list is empty"),
+    (["--seeds", "1,1", "--jobs", "2"], "seed(s) 1 given more than once"),
+    (["--seeds", "3,1,3,1,2"], "seed(s) 1, 3 given more than once"),
+    (["--lags", "0"], "--lags must be >= 1, got 0"),
+    (["--lf", "5", "--lags", "5"], "--lf 5 must exceed --lags 5"),
+    (["--loss", "mse+ljb", "--lf", "4", "--lags", "6"],
+     "--lf 4 must exceed --lags 6"),
+])
+def test_train_seeds_and_windows_are_checked_first(tmp_path, capsys,
+                                                   no_data, flags, message):
+    # at the parent each of these trained nothing or trained a seed twice
+    # and exited 0, or built the data and failed every run with exit 1
+    assert _train(tmp_path, *flags) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_train_config_empty_seed_list(tmp_path, capsys, no_data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": []}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "seed list is empty" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("doc, message", [
+    # a string of digits was iterated into seeds 1 and 2
+    ({"seeds": "12"}, "'seeds' must be a list of integers, got '12'"),
+    ({"seeds": [1, "2"]}, "'seeds' must be a list of integers"),
+    # a string lr died on an uncaught TypeError
+    ({"lr": "0.1"}, "'lr' must be a number, got '0.1'"),
+    ({"epochs": 2.5}, "'epochs' must be an integer, got 2.5"),
+    ({"batch": True}, "'batch' must be an integer, got True"),
+    ({"system": 1}, "'system' must be a string, got 1"),
+    ([1, 2], "must hold a JSON object"),
+])
+def test_train_config_values_are_type_checked(tmp_path, capsys, no_data,
+                                              doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_train_config_numbers_and_null_out_are_accepted(tmp_path):
+    # an integer fits a float key, and "out": null falls back to --out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lr": 1, "lam": 1, "epochs": 1, "out": None,
+                               "seeds": [4]}))
+    assert main(["train", "--config", str(cfg), "--batch", "256",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "pendulum_dense_lam1_seed4" / "record.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_train_divergence_exits_1_with_record(tmp_path):
     code = _train(tmp_path, "--seed", "1", "--lr", "1e200",
@@ -212,6 +277,19 @@ def test_eval_rejects_a_file_among_run_dirs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{matrix} is not a run directory" in err
     assert not list(tmp_path.glob("*/report_*"))
+
+
+def test_eval_rejects_one_run_dir_given_twice(tmp_path, capsys):
+    # at the parent `eval RUN RUN/ --aggregate` aggregated one run as two
+    assert _train(tmp_path, "--seed", "1", "--epochs", "1") == 0
+    run_dir = tmp_path / "pendulum_dense_lam1_seed1"
+    capsys.readouterr()
+    out = tmp_path / "reports"
+    assert main(["eval", str(run_dir), f"{run_dir}/", "--aggregate",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{run_dir}/ and {run_dir} are the same run directory" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lags", ["0", "-1"])

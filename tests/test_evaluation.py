@@ -12,6 +12,7 @@ from whitenet.errors import ConfigError, DomainError, ShapeError
 from whitenet.evaluation import (EvalReport, aggregate, chi2_upper_tail, emit,
                                  emit_comparison, evaluate, load_report,
                                  predict)
+from whitenet.losses import LossConfig, ljb_statistic
 from whitenet.nn import DenseSpec, Model
 from whitenet.numerics import RngState
 
@@ -133,6 +134,26 @@ def test_evaluate_matches_reference_statistics():
     assert rep.lags == 4
     assert rep.n_samples == 20
     assert rep.channels == ("c0", "c1", "c2")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_evaluate_one_statistic_call_matches_per_channel_calls(d):
+    # every channel's statistic comes from one stacked call; each must be
+    # bit for bit a one-channel call on that channel's residual windows
+    rng = np.random.default_rng(17 + d)
+    lf, lags = 14, 11
+    targets = rng.normal(size=(37, lf * d))
+    model = Model([DenseSpec(4, lf * d, activation="tanh")], RngState(d))
+    ds = _make_ds(targets, lb=2, lf=lf, d_out=d, d_in=2)
+    rep = evaluate(model, ds, lags=lags)
+    resid = targets - predict(model, ds)
+    cfg = LossConfig(lags=lags)
+    for m in range(d):
+        ljb, acf = ljb_statistic(np.ascontiguousarray(resid[:, m::d]), cfg)
+        assert rep.ljb[m] == ljb
+        assert np.array_equal(rep.acf[m].view(np.uint64), acf.view(np.uint64))
+        assert rep.sum_ac[m] == np.sum(np.abs(acf))
+        assert rep.sum_ac_sq[m] == np.sum(acf * acf)
 
 
 def test_evaluate_white_noise_is_calibrated():

@@ -66,9 +66,10 @@ def test_wrong_layer_gradient_is_caught(monkeypatch):
     assert not results[0].ok
 
 
-@pytest.mark.parametrize("component", ["lstm", "dense", "composite"])
+@pytest.mark.parametrize("component",
+                         ["lstm", "dense", "composite", "ljb", "ljb2d"])
 def test_each_analytic_gradient_kind_is_caught(monkeypatch, component):
-    # a parameter gradient, an input gradient and a loss gradient, each 1% off
+    # a parameter gradient, an input gradient and loss gradients, each 1% off
     if component == "lstm":
         real = nn.LstmCell.backward
 
@@ -84,13 +85,15 @@ def test_each_analytic_gradient_kind_is_caught(monkeypatch, component):
                             lambda self, cache, dout:
                             real(self, cache, dout) * 1.01)
     else:
-        real = losses.composite_loss
+        name = {"composite": "composite_loss", "ljb": "ljb_loss",
+                "ljb2d": "ljb_loss_2d"}[component]
+        real = getattr(losses, name)
 
-        def crooked(pred, target, cfg, n_channels=1):
-            value, grad = real(pred, target, cfg, n_channels=n_channels)
+        def crooked(*args, **kwargs):
+            value, grad = real(*args, **kwargs)
             return value, grad * 1.01
 
-        monkeypatch.setattr(losses, "composite_loss", crooked)
+        monkeypatch.setattr(losses, name, crooked)
     results = run_suites([component], n_instances=5)
     assert not results[0].ok
 

@@ -271,6 +271,68 @@ def test_stacked_composite_matches_members_exactly(lam, d):
                                             n_channels=d)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+_STACKED = {
+    # name -> (call, member shapes): windows up to 16, images below and
+    # above numpy's 8-wide unrolled sum, one-row batches
+    "mse": (lambda x, t: mse(x, t), [(1, 1), (1, 7), (3, 16), (5, 9)]),
+    "ljb_loss": (lambda x, t: ljb_loss(x, LossConfig(lags=3)),
+                 [(1, 4), (1, 16), (3, 9), (6, 16)]),
+    "ljb_statistic": (lambda x, t: ljb_statistic(x, LossConfig(lags=3)),
+                      [(1, 4), (1, 16), (3, 9), (6, 16)]),
+    "ljb_loss_2d": (lambda x, t: ljb_loss_2d(x, LossConfig(two_d_lags=2)),
+                    [(3, 3), (5, 7), (8, 8), (11, 9), (17, 23)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STACKED))
+@pytest.mark.parametrize("lead", [(), (1,), (4,), (2, 3)])
+def test_stacked_losses_match_members_bit_for_bit(name, lead):
+    call, shapes = _STACKED[name]
+    rng = RngState(31)
+    for shape in shapes:
+        x = rng.normal(size=lead + shape) * 10.0 ** rng.uniform(
+            size=(1,), low=-3.0, high=3.0)[0]
+        # mse: a target without the member axes is shared by every member
+        shared = rng.normal(size=shape)
+        value, second = call(x, shared)
+        if not lead:
+            assert isinstance(value, float)
+        else:
+            assert value.shape == lead
+        assert second.shape == (lead + shape if name != "ljb_statistic"
+                                else lead + (3,))
+        for idx in np.ndindex(*lead):
+            m_value, m_second = call(x[idx], shared)
+            assert isinstance(m_value, float)
+            assert _bits(value[idx] if lead else value) == _bits(m_value)
+            assert np.array_equal(_bits(second[idx]), _bits(m_second))
+        if name == "mse" and lead:
+            # and a target with them gives each member its own
+            own = rng.normal(size=lead + shape)
+            value, grad = mse(x, own)
+            for idx in np.ndindex(*lead):
+                m_value, m_grad = mse(x[idx], own[idx])
+                assert _bits(value[idx]) == _bits(m_value)
+                assert np.array_equal(_bits(grad[idx]), _bits(m_grad))
+
+
+def test_losses_reject_inputs_without_a_member_shape():
+    with pytest.raises(ShapeError):
+        mse(np.zeros(4), np.zeros(4))
+    with pytest.raises(ShapeError):
+        mse(np.zeros((2, 3, 4)), np.zeros((2, 4)))
+    with pytest.raises(ShapeError):
+        ljb_loss(np.zeros(8), LossConfig(lags=2))
+    with pytest.raises(DomainError):
+        ljb_statistic(np.zeros((2, 3, 4)), LossConfig(lags=4))
+    with pytest.raises(DomainError):
+        ljb_loss_2d(np.zeros((2, 9, 3)), LossConfig(two_d_lags=3))
+
+
 def test_composite_lam_zero_is_mse_bitwise():
     rng = RngState(3)
     pred = rng.normal(size=(16, 30))
