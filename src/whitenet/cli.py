@@ -193,10 +193,11 @@ def cmd_train(args):
         raise UsageError(f"--jobs must be an integer >= 1, got {jobs!r}")
     if cfg["lags"] < 1:
         raise UsageError(f"--lags must be >= 1, got {cfg['lags']}")
-    if lam != 0.0 and cfg["lf"] <= cfg["lags"]:
+    if cfg["lf"] <= cfg["lags"]:
+        # eval reports Ljung-Box Q at the run's lags, whatever the loss
         raise UsageError(
-            f"--lf {cfg['lf']} must exceed --lags {cfg['lags']} for the "
-            f"whitening loss")
+            f"--lf {cfg['lf']} must exceed --lags {cfg['lags']}: the "
+            f"whiteness statistic needs more residual steps than lags")
     try:
         base = TrainConfig(
             lr0=cfg["lr"], batch=cfg["batch"], max_epochs=cfg["epochs"],

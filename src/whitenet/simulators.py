@@ -18,9 +18,11 @@ on the noiseless state.  One rollout loop serves every system: it records
 the state, then calls the system's single-step function below, so the
 tested step is the one that makes the data.  It runs on Python floats: each
 step is a handful of scalar operations, too small for numpy calls to pay
-off.
+off.  The double pendulum's equations form their constant factors once per
+rollout, in one stepper that its public accel and step functions share.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -127,61 +129,64 @@ def step_pendulum(state, u, p):
     return theta, omega
 
 
-def _dp_accel(th1, w1, th2, w2, m1, m2, l1, l2, g):
-    # standard two-link equations, angles from the downward vertical
-    delta = th1 - th2
-    den = 2.0 * m1 + m2 - m2 * math.cos(2.0 * delta)
-    a1 = (-g * (2.0 * m1 + m2) * math.sin(th1)
-          - m2 * g * math.sin(th1 - 2.0 * th2)
-          - 2.0 * math.sin(delta) * m2
-          * (w2 * w2 * l2 + w1 * w1 * l1 * math.cos(delta))) / (l1 * den)
-    a2 = (2.0 * math.sin(delta)
-          * (w1 * w1 * l1 * (m1 + m2) + g * (m1 + m2) * math.cos(th1)
-             + w2 * w2 * l2 * m2 * math.cos(delta))) / (l2 * den)
-    return a1, a2
+def _dp_stepper(p):
+    """(accel, step) closures for the double pendulum with params ``p``.
+
+    ``accel(th1, w1, th2, w2)`` gives the angular accelerations (standard
+    two-link equations, angles from the downward vertical).  ``step`` takes
+    one classical RK4 step of ``(th1, w1, th2, w2, a1, a2)``, where (a1, a2)
+    are the accelerations at the state: they are the step's first stage and
+    the recorded alpha1, so each step evaluates them once.  Its input and
+    params arguments are unused: the double pendulum is unactuated and ``p``
+    is bound here.  Each constant factor is formed once, and each is the
+    left-most operand of an expression evaluated left to right, so every
+    value has the bits of the equations written out in full.
+    """
+    m2, l1, l2, dt = p.m2, p.l1, p.l2, p.dt
+    sin, cos = math.sin, math.cos
+    c_den = 2.0 * p.m1 + m2
+    c_th1 = -p.g * c_den
+    c_th12 = m2 * p.g
+    m12 = p.m1 + m2
+    g_m12 = p.g * m12
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def accel(th1, w1, th2, w2):
+        delta = th1 - th2
+        den = c_den - m2 * cos(2.0 * delta)
+        s2, cd = 2.0 * sin(delta), cos(delta)
+        w1l1, w2l2 = w1 * w1 * l1, w2 * w2 * l2
+        return ((c_th1 * sin(th1) - c_th12 * sin(th1 - 2.0 * th2)
+                 - s2 * m2 * (w2l2 + w1l1 * cd)) / (l1 * den),
+                (s2 * (w1l1 * m12 + g_m12 * cos(th1) + w2l2 * m2 * cd))
+                / (l2 * den))
+
+    def step(state, _u, _p):
+        th1, w1, th2, w2, a1, a2 = state
+        v1, v2 = w1 + half * a1, w2 + half * a2
+        b1, b2 = accel(th1 + half * w1, v1, th2 + half * w2, v2)
+        x1, x2 = w1 + half * b1, w2 + half * b2
+        c1, c2 = accel(th1 + half * v1, x1, th2 + half * v2, x2)
+        y1, y2 = w1 + dt * c1, w2 + dt * c2
+        d1, d2 = accel(th1 + dt * x1, y1, th2 + dt * x2, y2)
+        th1 = th1 + sixth * (w1 + 2.0 * v1 + 2.0 * x1 + y1)
+        w1 = w1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        th2 = th2 + sixth * (w2 + 2.0 * v2 + 2.0 * x2 + y2)
+        w2 = w2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        return (th1, w1, th2, w2) + accel(th1, w1, th2, w2)
+
+    return accel, step
 
 
 def double_pendulum_accel(state, p):
     """Instantaneous angular accelerations (alpha1, alpha2) at ``state``."""
-    th1, w1, th2, w2 = state
-    return _dp_accel(th1, w1, th2, w2, p.m1, p.m2, p.l1, p.l2, p.g)
-
-
-def _dp_rk4(th1, w1, th2, w2, a1, a2, p):
-    # (a1, a2) is the first stage: the accelerations at the current state
-    m1, m2, l1, l2, g, dt = p.m1, p.m2, p.l1, p.l2, p.g, p.dt
-    k1 = (w1, a1, w2, a2)
-    a1, a2 = _dp_accel(th1 + 0.5 * dt * k1[0], w1 + 0.5 * dt * k1[1],
-                       th2 + 0.5 * dt * k1[2], w2 + 0.5 * dt * k1[3],
-                       m1, m2, l1, l2, g)
-    k2 = (w1 + 0.5 * dt * k1[1], a1, w2 + 0.5 * dt * k1[3], a2)
-    a1, a2 = _dp_accel(th1 + 0.5 * dt * k2[0], w1 + 0.5 * dt * k2[1],
-                       th2 + 0.5 * dt * k2[2], w2 + 0.5 * dt * k2[3],
-                       m1, m2, l1, l2, g)
-    k3 = (w1 + 0.5 * dt * k2[1], a1, w2 + 0.5 * dt * k2[3], a2)
-    a1, a2 = _dp_accel(th1 + dt * k3[0], w1 + dt * k3[1],
-                       th2 + dt * k3[2], w2 + dt * k3[3],
-                       m1, m2, l1, l2, g)
-    k4 = (w1 + dt * k3[1], a1, w2 + dt * k3[3], a2)
-    s = dt / 6.0
-    return (th1 + s * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-            w1 + s * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-            th2 + s * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-            w2 + s * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]))
+    return _dp_stepper(p)[0](*state)
 
 
 def step_double_pendulum(state, p):
     """One classical RK4 step of the free-fall double pendulum."""
-    return _dp_rk4(*state, *double_pendulum_accel(state, p), p)
-
-
-def _step_double_pendulum_staged(state, _, p):
-    # step_double_pendulum on (th1, w1, th2, w2, a1, a2), where (a1, a2) are
-    # the accelerations at the state: they are the step's first RK4 stage
-    # and the recorded alpha1, so each step evaluates them once.  The input
-    # is unused: the double pendulum is unactuated.
-    state = _dp_rk4(*state, p)
-    return state + double_pendulum_accel(state, p)
+    accel, step = _dp_stepper(p)
+    return step(tuple(state) + accel(*state), None, p)[:4]
 
 
 def double_pendulum_energy(state, p):
@@ -223,7 +228,8 @@ def _rollout(step, state, inputs, p):
     for u in inputs:
         rows.append(state)
         state = step(state, u, p)
-    return np.array(rows)
+    return np.fromiter(itertools.chain.from_iterable(rows), np.float64,
+                       count=len(rows) * len(state)).reshape(len(rows), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +291,7 @@ def simulate(system, params, actions, noise_sigma, rng, init_state=None):
     if system == "double_pendulum":
         if actions.shape[1] != 0:
             raise ShapeError("double pendulum is unactuated; pass (T, 0) actions")
-        full = _rollout(_step_double_pendulum_staged,
+        full = _rollout(_dp_stepper(params)[1],
                         init + double_pendulum_accel(init, params),
                         [None] * steps, params)
         clean = full[:, [0, 1, 4]]

@@ -146,6 +146,8 @@ def test_criterion_1_gradient_suite():
 
 
 def test_criterion_2_whiteness_calibration():
+    # white rows: Q is asymptotically chi-square with `lags` degrees of
+    # freedom (Ljung & Box 1978, Biometrika 65(2)), so its mean is ~lags
     rows = RngState(2026).normal(size=(2000, 1000))
     stat, _ = ljb_statistic(rows, LossConfig(lags=5))
     tail = chi2_upper_tail(11.07, 5)

