@@ -160,11 +160,11 @@ def no_data(monkeypatch):
     (["--seeds", "3,1,3,1,2"], "seed(s) 1, 3 given more than once"),
     (["--lags", "0"], "--lags must be >= 1, got 0"),
     (["--lf", "5", "--lags", "5"], "--lf 5 must exceed --lags 5"),
+    (["--loss", "mse+ljb", "--lf", "4", "--lags", "6"],
+     "--lf 4 must exceed --lags 6"),
     # trained and exited 0, but eval of the run exited 1
     (["--loss", "mse", "--lf", "5", "--lags", "5"],
      "--lf 5 must exceed --lags 5: the whiteness statistic"),
-    (["--loss", "mse+ljb", "--lf", "4", "--lags", "6"],
-     "--lf 4 must exceed --lags 6"),
 ])
 def test_train_seeds_and_windows_are_checked_first(tmp_path, capsys,
                                                    no_data, flags, message):
