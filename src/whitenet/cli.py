@@ -55,15 +55,27 @@ def _out_root(explicit, fallback):
 # ---------------------------------------------------------------------------
 # simulate
 
+# Defaults of the regime flags that only some systems read: the double
+# pendulum is unactuated and varies its initial angles instead.
+_REGIME_DEFAULTS = {"amplitude": 0.5, "hold": 5, "init_jitter": 0.1}
+
+
 def cmd_simulate(args):
     if args.system not in SYSTEMS:
         raise UsageError(
             f"unknown system {args.system!r}; expected one of {', '.join(SYSTEMS)}")
+    given = {key: getattr(args, key) for key in _REGIME_DEFAULTS
+             if getattr(args, key) is not None}
+    unread = (("amplitude", "hold") if args.system == "double_pendulum"
+              else ("init_jitter",))
+    for key in unread:
+        if key in given:
+            raise UsageError(f"--{key.replace('_', '-')} does nothing for "
+                             f"--system {args.system}")
     try:
-        spec = RegimeSpec(amplitude=args.amplitude, hold=args.hold,
-                          n_traj=args.n_traj, steps=args.steps,
+        spec = RegimeSpec(n_traj=args.n_traj, steps=args.steps,
                           noise_sigma=args.noise, seed=args.seed,
-                          init_jitter=args.init_jitter)
+                          **{**_REGIME_DEFAULTS, **given})
     except DomainError as exc:
         raise UsageError(str(exc))
     out_dir = _out_root(args.out, "trajectories")
@@ -276,6 +288,8 @@ def _eval_one_dir(run_dir, data_cache, lags_override=None):
 def cmd_eval(args):
     if args.lags is not None and args.lags < 1:
         raise UsageError(f"--lags must be >= 1, got {args.lags}")
+    if args.acf_csv and len(args.run_dirs) > 1:
+        raise UsageError("--acf-csv names one file: give a single run dir")
     seen = {}
     for run_dir in args.run_dirs:
         # a shell glob over a train output also matches its matrix JSON
@@ -300,7 +314,7 @@ def cmd_eval(args):
             emit(rep, "markdown", os.path.join(out_dir, f"{prefix}report_{name}.md"))
             emit(rep, "json", os.path.join(out_dir, f"{prefix}report_{name}.json"))
             acf_path = os.path.join(out_dir, f"{prefix}acf_{name}.csv")
-            if args.acf_csv and len(args.run_dirs) == 1:
+            if args.acf_csv:
                 acf_path = args.acf_csv if name == "interp" else \
                     f"{os.path.splitext(args.acf_csv)[0]}_{name}.csv"
             emit(rep, "csv", acf_path)
@@ -366,13 +380,14 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="generate trajectory CSV files")
     p.add_argument("--system", required=True)
-    p.add_argument("--amplitude", type=float, default=0.5)
-    p.add_argument("--hold", type=int, default=5)
+    p.add_argument("--amplitude", type=float, help="default 0.5; actuated only")
+    p.add_argument("--hold", type=int, help="default 5; actuated only")
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--n-traj", type=int, default=1)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init-jitter", type=float, default=0.1)
+    p.add_argument("--init-jitter", type=float,
+                   help="default 0.1; double_pendulum only")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 

@@ -281,19 +281,13 @@ def _emit_markdown(report, path):
 
 def _emit_acf_csv(report, path):
     """Per-lag plot data, zero lag suppressed: channel, lag, value, band."""
-    if isinstance(report, AggregateReport):
-        acf = report.mean["acf"]
-        band = None
-    else:
-        acf = report.acf
-        band = report.band_mean
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["channel", "lag", "value", "band"])
         for i, ch in enumerate(report.channels):
             for k in range(report.lags):
-                writer.writerow([ch, k + 1, f"{acf[i, k]:.17g}",
-                                 "" if band is None else f"{band:.17g}"])
+                writer.writerow([ch, k + 1, f"{report.acf[i, k]:.17g}",
+                                 f"{report.band_mean:.17g}"])
 
 
 def load_report(path):

@@ -2,10 +2,12 @@
 layer-by-layer reverse-mode gradients, written directly in numpy.
 
 A :class:`Model` is an ordered stack of hidden layers plus a linear ``head``
-producing the flat ``(batch, lookforward * d_out)`` prediction.  Dense stacks
-consume the flat ``(batch, lookback * d_in)`` window; recurrent stacks reshape
-it to ``(batch, lookback, d_in)`` and unroll over time, after which the head
-maps the final hidden state to all lookforward outputs at once.
+producing the flat ``(batch, lookforward * d_out)`` prediction.  The hidden
+layers are dense layers or recurrent cells, never both, with optional
+dropout among them; ``seq_shape`` tells the two apart.  Dense stacks consume
+the flat ``(batch, lookback * d_in)`` window.  Recurrent stacks reshape it
+once to ``(batch, lookback, d_in)`` and unroll over time, after which the
+head maps the final hidden state to all lookforward outputs at once.
 
 Layers act on the last axes only, so any leading axes pass through.
 :func:`stack_models` uses that: it puts several models' parameters on a
@@ -88,8 +90,7 @@ _SPEC_KINDS = {"dense": DenseSpec, "rnn": RnnSpec, "lstm": LstmSpec, "dropout": 
 
 
 def spec_to_dict(spec):
-    d = dict(spec.__dict__)
-    return d
+    return dict(spec.__dict__)
 
 
 def spec_from_dict(d):
@@ -367,12 +368,17 @@ class ForwardCache:
     def __init__(self, model, token, entries, head_cache):
         self.model_id = id(model)
         self.token = token
-        self.entries = entries          # list of (transition, layer_cache)
+        self.entries = entries          # one cache per hidden layer
         self.head_cache = head_cache
 
 
 class Model:
     """Layer stack with a linear head; see module docstring for wiring.
+
+    The hidden layers are one family: dense layers when ``seq_shape`` is
+    None, recurrent cells when it is ``(lookback, d_in)``, in either case
+    with dropout layers anywhere among them.  Any other stack raises
+    :class:`ConfigError`.
 
     Weights are drawn uniform in +-1/sqrt(fan-in) from ``rng`` (all zero when
     ``rng`` is None, as a checkpoint load fills them); biases start at zero.
@@ -384,54 +390,36 @@ class Model:
         *hidden_specs, head_spec = specs
         if not isinstance(head_spec, DenseSpec):
             raise ConfigError("the final layer spec (the head) must be dense")
-        self.layers = []
-        for idx, spec in enumerate(hidden_specs):
-            cls = _LAYER_CLASSES[spec.kind]
-            self.layers.append(cls(spec, f"layer{idx}", rng))
+        self.layers = [_LAYER_CLASSES[spec.kind](spec, f"layer{idx}", rng)
+                       for idx, spec in enumerate(hidden_specs)]
         self.head = Dense(head_spec, "head", rng)
         self.seq_shape = tuple(seq_shape) if seq_shape is not None else None
-        if self._has_recurrent() and self.seq_shape is None:
-            raise ConfigError("recurrent layers need seq_shape=(lookback, d_in)")
         self.mode = "eval"
         self._forward_token = 0
-        self._check_dims()
+        self._check_wiring()
 
-    def _has_recurrent(self):
-        return any(isinstance(l, (RnnCell, LstmCell)) for l in self.layers)
-
-    def _check_dims(self):
-        if self.seq_shape is None:
-            width = cur = None
-        else:
-            width = self.seq_shape[1]
-            cur = self.seq_shape[0] * width
-        seq = False
-        for layer in self.layers:
-            if isinstance(layer, Dropout):
-                continue
-            recurrent = isinstance(layer, (RnnCell, LstmCell))
-            expect = width if recurrent and not seq else cur
-            if expect is not None and layer.spec.in_dim != expect:
+    def _check_wiring(self):
+        weighted = [l for l in self.layers if not isinstance(l, Dropout)]
+        cells = sum(isinstance(l, (RnnCell, LstmCell)) for l in weighted)
+        if 0 < cells < len(weighted):
+            raise ConfigError("a stack holds dense layers or recurrent cells, "
+                              "not both")
+        if bool(cells) != (self.seq_shape is not None):
+            raise ConfigError("recurrent cells need seq_shape=(lookback, d_in), "
+                              "and only they take it")
+        width = None if self.seq_shape is None else self.seq_shape[1]
+        for layer in weighted + [self.head]:
+            if width is not None and layer.spec.in_dim != width:
                 raise ShapeError(
                     f"layer {layer.params[0].name} expects in_dim "
-                    f"{layer.spec.in_dim}, stack provides {expect}")
-            if recurrent:
-                cur, seq = layer.spec.hidden, True
-            else:
-                cur, seq = layer.spec.out_dim, False
-        if cur is not None and self.head.spec.in_dim != cur:
-            raise ShapeError(
-                f"head expects in_dim {self.head.spec.in_dim}, stack provides {cur}")
+                    f"{layer.spec.in_dim}, stack provides {width}")
+            width = layer.spec.out_dim if isinstance(layer, Dense) else layer.spec.hidden
 
     # -- parameters ---------------------------------------------------------
 
     @property
     def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params)
-        out.extend(self.head.params)
-        return out
+        return [p for layer in self.layers + [self.head] for p in layer.params]
 
     def zero_grads(self):
         for p in self.params:
@@ -469,67 +457,53 @@ class Model:
 
     def _run(self, inputs, ctx):
         """The layer forwards under ``ctx``; returns ``(outputs, entries,
-        head_cache)``, with no entries unless ``ctx.keep_cache``."""
+        head_cache)``, with no entries unless ``ctx.keep_cache``.
+
+        A recurrent stack reshapes the flat window to ``(lookback, d_in)``
+        steps before its first layer and hands the last step to the head.
+        """
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim < 2:
             raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
+        if self.seq_shape is not None:
+            lb, d_in = self.seq_shape
+            if x.shape[-1] != lb * d_in:
+                raise ShapeError(f"input width {x.shape[-1]} != "
+                                 f"lookback*d_in {lb * d_in}")
+            x = x.reshape(x.shape[:-1] + (lb, d_in))
         entries = []
-        seq = False
         for layer in self.layers:
-            transition = None
-            if isinstance(layer, (RnnCell, LstmCell)) and not seq:
-                lb, d_in = self.seq_shape
-                if x.shape[-1] != lb * d_in:
-                    raise ShapeError(f"input width {x.shape[-1]} != "
-                                     f"lookback*d_in {lb * d_in}")
-                x = x.reshape(x.shape[:-1] + (lb, d_in))
-                seq = True
-                transition = "to_seq"
-            elif isinstance(layer, Dense) and seq:
-                x = x[..., -1, :]
-                seq = False
-                transition = "last_step"
             x, layer_cache = layer.forward(x, ctx)
             if ctx.keep_cache:
-                entries.append((transition, layer_cache))
-        head_transition = None
-        if seq:
+                entries.append(layer_cache)
+        if self.seq_shape is not None:
             x = x[..., -1, :]
-            head_transition = "last_step"
         out, head_cache = self.head.forward(x, ctx)
         self._forward_token += 1
-        return out, entries, (head_transition, head_cache)
+        return out, entries, head_cache
 
     def backward(self, cache, grad_out):
         """Accumulate parameter gradients of ``outputs . grad_out``.
 
         ``cache`` must come from the immediately preceding ``forward`` on this
-        model instance.
+        model instance.  Returns the gradient of the flat inputs.
         """
         if not isinstance(cache, ForwardCache) or cache.model_id != id(self):
             raise StateError("cache does not belong to this model")
         if cache.token != self._forward_token:
             raise StateError("stale cache: model ran forward again since")
         grad_out = np.asarray(grad_out, dtype=np.float64)
-        head_transition, head_cache = cache.head_cache
-        dx = self.head.backward(head_cache, grad_out)
-        seq_len = None if self.seq_shape is None else self.seq_shape[0]
-        if head_transition == "last_step":
-            dx = _expand_last_step(dx, seq_len)
-        for layer, (transition, layer_cache) in zip(
-                reversed(self.layers), reversed(cache.entries)):
+        dx = self.head.backward(cache.head_cache, grad_out)
+        if self.seq_shape is not None:
+            last = dx
+            dx = np.zeros(last.shape[:-1] + (self.seq_shape[0], last.shape[-1]))
+            dx[..., -1, :] = last
+        for layer, layer_cache in zip(reversed(self.layers),
+                                      reversed(cache.entries)):
             dx = layer.backward(layer_cache, dx)
-            if transition == "last_step":
-                dx = _expand_last_step(dx, seq_len)
-            elif transition == "to_seq":
-                dx = dx.reshape(dx.shape[:-2] + (-1,))
+        if self.seq_shape is not None:
+            dx = dx.reshape(dx.shape[:-2] + (-1,))
         return dx
-
-
-def _expand_last_step(dx, steps):
-    full = np.zeros(dx.shape[:-1] + (steps, dx.shape[-1]))
-    full[..., -1, :] = dx
-    return full
 
 
 def stack_models(models):
@@ -541,45 +515,33 @@ def stack_models(models):
     the member alone.
     """
     first = models[0]
-    stacked = Model([layer.spec for layer in first.layers] + [first.head.spec],
-                    None, first.seq_shape)
+    stacked = Model([layer.spec for layer in first.layers + [first.head]], None,
+                    first.seq_shape)
     for p, *members in zip(stacked.params, *(m.params for m in models)):
         p.value = np.stack([q.value for q in members])
         p.grad = np.zeros_like(p.value)
     return stacked
 
 
-def build_specs(arch, lb, d_in, lf, d_out, hidden=None, layers=None,
-                dropout=0.0, activation="tanh"):
+def build_specs(arch, lb, d_in, lf, d_out, hidden=None, dropout=0.0):
     """Standard stacks used by the CLI and experiments.
 
     ``arch`` is one of dense / rnn / lstm.  Desk-scale defaults: dense uses 2
-    hidden layers of width 32, recurrent models one cell of hidden size 24.
-    ``dropout > 0`` prepends an input-dropout layer.
+    tanh hidden layers of width 32, recurrent models one cell of hidden size
+    24.  ``dropout > 0`` prepends an input-dropout layer.
     """
     if arch == "dense":
         hidden = 32 if hidden is None else hidden
-        layers = 2 if layers is None else layers
-        specs = []
-        width = lb * d_in
-        for _ in range(layers):
-            specs.append(DenseSpec(width, hidden, activation))
-            width = hidden
-        specs.append(DenseSpec(width, lf * d_out, "linear"))
+        specs = [DenseSpec(lb * d_in, hidden), DenseSpec(hidden, hidden)]
         seq_shape = None
     elif arch in ("rnn", "lstm"):
         hidden = 24 if hidden is None else hidden
-        layers = 1 if layers is None else layers
         cell = RnnSpec if arch == "rnn" else LstmSpec
-        specs = []
-        width = d_in
-        for _ in range(layers):
-            specs.append(cell(width, hidden))
-            width = hidden
-        specs.append(DenseSpec(width, lf * d_out, "linear"))
+        specs = [cell(d_in, hidden)]
         seq_shape = (lb, d_in)
     else:
         raise ConfigError(f"unknown architecture {arch!r}")
+    specs.append(DenseSpec(hidden, lf * d_out, "linear"))
     if dropout > 0.0:
         specs.insert(0, DropoutSpec(dropout))
     return specs, seq_shape
@@ -591,8 +553,7 @@ def build_specs(arch, lb, d_in, lf, d_out, hidden=None, layers=None,
 def save_checkpoint(model, path, seed=None, epoch=0, best_val_loss=None):
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "layer_specs": [spec_to_dict(l.spec) for l in model.layers]
-                       + [spec_to_dict(model.head.spec)],
+        "layer_specs": [spec_to_dict(l.spec) for l in model.layers + [model.head]],
         "seq_shape": list(model.seq_shape) if model.seq_shape else None,
         "seed": seed,
         "epoch": epoch,
@@ -611,9 +572,8 @@ def load_checkpoint(path):
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ConfigError(
             f"unsupported checkpoint format_version {doc.get('format_version')!r}")
-    specs = [spec_from_dict(d) for d in doc["layer_specs"]]
-    seq_shape = doc.get("seq_shape")
-    model = Model(specs, rng=None, seq_shape=seq_shape)
+    model = Model([spec_from_dict(d) for d in doc["layer_specs"]], rng=None,
+                  seq_shape=doc.get("seq_shape"))
     for p in model.params:
         stored = np.asarray(doc["parameters"][p.name], dtype=np.float64)
         if stored.shape != p.value.shape:

@@ -77,6 +77,8 @@ class TrainConfig:
             raise ConfigError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
         if self.lam < 0 or self.l2 < 0:
             raise ConfigError("lam and l2 must be >= 0")
+        if self.lags < 1:
+            raise ConfigError(f"lags must be >= 1, got {self.lags}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.grad_clip <= 0:

@@ -44,6 +44,36 @@ def test_simulate_unknown_system_is_usage_error(tmp_path, capsys):
     assert "unknown system" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("system, flag, value", [
+    ("pendulum", "--init-jitter", "5"),
+    ("backlash", "--init-jitter", "0.1"),
+    ("double_pendulum", "--amplitude", "2"),
+    ("double_pendulum", "--hold", "3"),
+])
+def test_simulate_flag_the_system_ignores_is_usage_error(tmp_path, capsys,
+                                                         system, flag, value):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--system", system, flag, value, "--steps", "20",
+                 "--out", str(out)]) == 2
+    assert f"{flag} does nothing for --system {system}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_flags_the_system_reads_are_recorded(tmp_path):
+    for system, flag, key, value in (
+            ("double_pendulum", "--init-jitter", "init_jitter", 0.5),
+            ("backlash", "--amplitude", "amplitude", 2.0),
+            ("pendulum", "--hold", "hold", 3)):
+        assert main(["simulate", "--system", system, flag, str(value),
+                     "--steps", "20", "--out", str(tmp_path)]) == 0
+        manifest = json.loads(
+            (tmp_path / f"{system}_seed0_manifest.json").read_text())
+        assert manifest["regime"][key] == value
+    # omitted flags keep the defaults, whatever the system reads
+    assert manifest["regime"]["amplitude"] == 0.5
+    assert manifest["regime"]["init_jitter"] == 0.1
+
+
 def test_simulate_deterministic(tmp_path):
     for sub in ("a", "b"):
         assert main(["simulate", "--system", "backlash", "--steps", "50",
@@ -256,6 +286,20 @@ def test_eval_acf_csv_flag(tmp_path):
     assert main(["eval", str(run_dir), "--acf-csv", str(target)]) == 0
     assert target.exists()
     assert (tmp_path / "plot_extrap.csv").exists()
+
+
+def test_eval_acf_csv_with_many_run_dirs_is_usage_error(tmp_path, capsys):
+    # one --acf-csv path cannot hold every run's data: the flag is refused,
+    # not dropped, and nothing is evaluated
+    assert _train(tmp_path, "--seeds", "1,2", "--epochs", "1") == 0
+    capsys.readouterr()
+    runs = [str(tmp_path / f"pendulum_dense_lam1_seed{s}") for s in (1, 2)]
+    target = tmp_path / "plot.csv"
+    assert main(["eval", *runs, "--acf-csv", str(target)]) == 2
+    assert "--acf-csv names one file" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/report_*"))
+    assert not list(tmp_path.glob("**/*acf*.csv"))
+    assert not target.exists()
 
 
 def test_eval_missing_checkpoint_exits_1(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -359,7 +360,7 @@ def test_forward_shape_checks():
         model.forward(np.zeros(4))
 
 
-def test_spec_wiring_checked_at_build():
+def test_spec_wiring_checked_at_build(tmp_path):
     with pytest.raises(ShapeError):
         Model([DenseSpec(4, 3), DenseSpec(4, 2, "linear")], RngState(0))
     with pytest.raises(ConfigError):
@@ -368,6 +369,25 @@ def test_spec_wiring_checked_at_build():
         Model([], RngState(0))
     with pytest.raises(ConfigError):
         Model([DenseSpec(4, 3), RnnSpec(3, 8)], RngState(0), seq_shape=(2, 2))
+    # hidden layers are one family: dense layers without seq_shape, or
+    # recurrent cells with it
+    stacks = ([RnnSpec(2, 8), DenseSpec(8, 4), DenseSpec(4, 2, "linear")],
+             [DenseSpec(6, 2), DropoutSpec(0.1), LstmSpec(2, 8),
+              DenseSpec(8, 2, "linear")],
+             [DenseSpec(6, 3), DenseSpec(3, 2, "linear")],
+             [DenseSpec(6, 2, "linear")])
+    for specs in stacks:
+        with pytest.raises(ConfigError):
+            Model(specs, RngState(0), seq_shape=(3, 2))
+    # a checkpoint of a mixed stack is refused as it loads
+    specs, seq_shape = build_specs("rnn", 3, 2, 2, 1, hidden=8)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(Model(specs, RngState(0), seq_shape), path)
+    doc = json.loads(path.read_text())
+    doc["layer_specs"].insert(1, spec_to_dict(DenseSpec(8, 8)))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        load_checkpoint(path)
 
 
 def test_stale_cache_rejected():
@@ -481,7 +501,6 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 
 def test_checkpoint_version_guard(tmp_path):
-    import json
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"format_version": 999}))
     with pytest.raises(ConfigError):

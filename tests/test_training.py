@@ -48,6 +48,9 @@ def test_config_validation():
         TrainConfig(lr_factor=1.0)
     with pytest.raises(ConfigError):
         TrainConfig(lam=-1.0)
+    for lags in (0, -2):
+        with pytest.raises(ConfigError, match="lags must be >= 1"):
+            TrainConfig(lags=lags)
     cfg = TrainConfig()
     assert cfg.loss_config().lam == cfg.lam
 
