@@ -15,7 +15,6 @@ override built-in defaults.  The default output root comes from the
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -23,7 +22,13 @@ import time
 import numpy as np
 
 from . import gradcheck as gradcheck_mod
-from .datasets import RegimeSpec, csv_export, regime_trajectories, write_json
+from .datasets import (
+    RegimeSpec,
+    csv_export,
+    read_json,
+    regime_trajectories,
+    write_json,
+)
 from .errors import (
     ConfigError,
     CsvParseError,
@@ -151,11 +156,10 @@ def _merge_train_config(args):
     """Built-in defaults, overridden by --config file, overridden by flags."""
     merged = dict(_TRAIN_DEFAULTS)
     if args.config:
-        with open(args.config) as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:
-                raise UsageError(f"{args.config} is not valid JSON: {exc}")
+        try:
+            doc = read_json(args.config)
+        except ConfigError as exc:
+            raise UsageError(str(exc))
         if not isinstance(doc, dict):
             raise UsageError(f"{args.config} must hold a JSON object")
         unknown = sorted(set(doc) - set(_TRAIN_DEFAULTS))
@@ -195,6 +199,13 @@ def cmd_train(args):
     seeds = cfg["seeds"]
     if not seeds:
         raise UsageError("no seeds to train: the seed list is empty")
+    negative = [s for s in seeds if s < 0]
+    if negative:
+        # a seed keys a random stream, and keys are non-negative
+        raise UsageError(
+            f"seeds must be >= 0, got {', '.join(map(str, negative))}")
+    if cfg["data_seed"] < 0:
+        raise UsageError(f"--data-seed must be >= 0, got {cfg['data_seed']}")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         # two runs of one seed would write the same run directory
@@ -203,8 +214,9 @@ def cmd_train(args):
     jobs = cfg["jobs"]
     if jobs < 1:
         raise UsageError(f"--jobs must be an integer >= 1, got {jobs!r}")
-    if cfg["lags"] < 1:
-        raise UsageError(f"--lags must be >= 1, got {cfg['lags']}")
+    for key in ("lb", "lf", "lags"):
+        if cfg[key] < 1:
+            raise UsageError(f"--{key} must be >= 1, got {cfg[key]}")
     if cfg["lf"] <= cfg["lags"]:
         # eval reports Ljung-Box Q at the run's lags, whatever the loss
         raise UsageError(
@@ -257,8 +269,18 @@ def _config_id(config):
     return tag
 
 
+def _data_key(config):
+    """What a run's eval data depends on: runs with equal keys share it."""
+    return (config["system"], config["lb"], config["lf"], config["data_seed"])
+
+
 def _eval_one_dir(run_dir, data_cache, lags_override=None):
-    """Reports (interp, extrap) for one run directory; datasets cached."""
+    """Reports (interp, extrap) for one run directory.
+
+    ``data_cache`` maps a data key to the (interp, extrap) datasets, built
+    here on the key's first run.  The train split is never kept: eval does
+    not read it.
+    """
     record = load_run(run_dir)
     config = record["config"]
     ckpt_path = os.path.join(run_dir, "checkpoint.json")
@@ -268,18 +290,19 @@ def _eval_one_dir(run_dir, data_cache, lags_override=None):
     if not os.path.exists(ckpt_path):
         raise StateError(f"missing checkpoint {ckpt_path}")
     model, _ = load_checkpoint(ckpt_path)
-    key = (config["system"], config["lb"], config["lf"], config["data_seed"])
+    key = _data_key(config)
     if key not in data_cache:
-        data_cache[key] = prepare_data(config["system"], lb=config["lb"],
-                                       lf=config["lf"],
-                                       data_seed=config["data_seed"])
-    data = data_cache[key]
+        data = prepare_data(config["system"], lb=config["lb"],
+                            lf=config["lf"], data_seed=config["data_seed"])
+        data_cache[key] = (("interp", data["val"]),
+                           ("extrap", data["extrap"]))
+        del data    # and with it the train split, before any evaluation
     lags = (lags_override if lags_override is not None
             else config["train"]["lags"])
     cid = _config_id(config)
     run_id = os.path.basename(os.path.normpath(run_dir))
     reports = {}
-    for name, ds in (("interp", data["val"]), ("extrap", data["extrap"])):
+    for name, ds in data_cache[key]:
         reports[name] = evaluate(model, ds, lags=lags, run_id=run_id,
                                  dataset_id=name, config_id=cid)
     return reports
@@ -301,10 +324,15 @@ def cmd_eval(args):
             raise UsageError(
                 f"{run_dir} and {seen[real]} are the same run directory")
         seen[real] = run_dir
+    # each data key's datasets are freed after the last run dir that reads
+    # them, so run dirs grouped by system hold one system's data at a time
+    keys = [_data_key(load_run(run_dir)["config"]) for run_dir in args.run_dirs]
     data_cache = {}
     by_config = {}
-    for run_dir in args.run_dirs:
+    for i, run_dir in enumerate(args.run_dirs):
         reports = _eval_one_dir(run_dir, data_cache, args.lags)
+        if keys[i] not in keys[i + 1:]:
+            del data_cache[keys[i]]
         out_dir = _out_root(args.out, run_dir)
         os.makedirs(out_dir, exist_ok=True)
         prefix = ""

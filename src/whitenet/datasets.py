@@ -233,23 +233,24 @@ def fit_stats(train):
     return NormalizationStats(mean, std)
 
 
-def apply_stats(ds, stats):
-    d_in = ds.d_in
-    view = ds.inputs.reshape(ds.n * ds.lb, d_in) if ds.n else ds.inputs
-    normed = ((view - stats.mean) / stats.std).reshape(ds.inputs.shape)
-    return WindowedDataset(normed, ds.targets, ds.lb, ds.lf,
-                           ds.input_names, ds.target_names, stats,
-                           dict(ds.meta))
-
-
 def normalize_fit_apply(train, *others):
-    """Fit stats on train inputs, apply to all; targets stay raw.
+    """Fit stats on train inputs, apply to all, in place; targets stay raw.
 
-    Returns ``(datasets, stats)`` with ``datasets[0]`` the normalized train
-    set, followed by the others in call order.
+    Each dataset's inputs are overwritten with ``(x - mean) / std``, one
+    subtraction and one division per element, and its ``stats`` is set, so
+    no copy of the inputs is made.  The datasets must own their input
+    arrays and hold distinct ones.  Returns ``(datasets, stats)`` with
+    ``datasets[0]`` the train set, followed by the others in call order.
     """
     stats = fit_stats(train)
-    return [apply_stats(ds, stats) for ds in (train,) + others], stats
+    datasets = [train, *others]
+    for ds in datasets:
+        # a view of the inputs, never a copy that would be normalized instead
+        view = ds.inputs.reshape(ds.n * ds.lb, ds.d_in, copy=False)
+        view -= stats.mean
+        view /= stats.std
+        ds.stats = stats
+    return datasets, stats
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +364,16 @@ def dataset_manifest(ds, stats=None):
         doc["normalization"] = {"mean": stats.mean.tolist(),
                                 "std": stats.std.tolist()}
     return doc
+
+
+def read_json(path):
+    """Read a JSON artifact.  A file that does not parse, as a write cut
+    short leaves it, raises :class:`ConfigError` naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
 
 
 def write_json(doc, path):

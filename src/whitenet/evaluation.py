@@ -14,13 +14,12 @@ so the package needs no stats dependency at runtime.
 """
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import write_json
+from .datasets import read_json, write_json
 from .errors import ConfigError, DomainError, ShapeError
 from .losses import LossConfig, ljb_statistic, mse
 
@@ -139,14 +138,11 @@ class EvalReport:
             mse_value=doc["mse_value"], extras=doc.get("extras", {}))
 
 
-def predict(model, ds, chunk=2048):
-    """Eval-mode predictions for every row of ``ds``, ``chunk`` rows at a
-    time.  Each chunk goes through :meth:`Model.predict`, which keeps no
-    backward cache, so the peak memory is that of one chunk's activations."""
-    outs = []
-    for start in range(0, ds.n, chunk):
-        outs.append(model.predict(ds.inputs[start:start + chunk]))
-    return np.vstack(outs)
+def predict(model, ds):
+    """Eval-mode predictions for every row of ``ds``.  :meth:`Model.predict`
+    keeps no backward cache and runs in cache-sized row blocks, so the peak
+    memory is the predictions plus one block's activations."""
+    return model.predict(ds.inputs)
 
 
 def evaluate(model, ds, lags=5, run_id="", dataset_id="", config_id=""):
@@ -291,8 +287,7 @@ def _emit_acf_csv(report, path):
 
 
 def load_report(path):
-    with open(path) as fh:
-        return EvalReport.from_dict(json.load(fh))
+    return EvalReport.from_dict(read_json(path))
 
 
 def emit_comparison(aggregates, path):

@@ -12,8 +12,9 @@ head maps the final hidden state to all lookforward outputs at once.
 Layers act on the last axes only, so any leading axes pass through.
 :func:`stack_models` uses that: it puts several models' parameters on a
 leading member axis, ``(members, in, out)``, and the stacked model trains
-them together on ``(members, batch, width)`` inputs.  A plain 2-D input is
-shared by every member.  A single model keeps its 2-D parameters.
+them together on ``(members, batch, width)`` inputs.  In eval mode a plain
+2-D input is shared by every member.  A single model keeps its 2-D
+parameters.
 
 ``forward`` returns a :class:`ForwardCache` holding every intermediate the
 backward pass needs; ``backward`` must be fed the cache of the immediately
@@ -35,9 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import read_json
 from .errors import ConfigError, ShapeError, StateError
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+# Rows per block of Model.predict.  A desk LSTM step's temporaries are
+# rows x 4*hidden floats: 0.4 MB at 512 rows fit a 2 MiB L2 cache, the
+# 1.5 MB of 2048 rows with their siblings do not.
+_PREDICT_ROWS = 512
 
 
 @dataclass
@@ -212,7 +219,7 @@ def _sigmoid(z):
     z >= 0 and ``exp(z)/(1+exp(z))`` below, so ``exp`` never overflows.
 
     Works in place where that is exact: each full-size temporary saved
-    lowers the peak memory of the 2048-row eval passes.
+    keeps more of a step's working set in cache.
     """
     m = np.negative(z)
     np.minimum(z, m, out=m)        # -|z|; a NaN z itself (first of two NaNs)
@@ -231,8 +238,7 @@ class LstmCell:
     gate gradient as ``((dc * g) * i) * (1 - i)`` and so on, factor by factor,
     so the results match a per-gate implementation bit for bit.  The
     per-step gates and cells that backward reads are kept only when the
-    context asks for the cache: at 2048 rows they are most of a forward's
-    memory.
+    context asks for the cache: they are most of a forward's memory.
     """
 
     def __init__(self, spec, name, rng):
@@ -435,13 +441,20 @@ class Model:
     def forward(self, inputs, rng=None):
         """Run the stack on flat ``(batch, lookback * d_in)`` inputs.
 
-        A stacked model takes ``(members, batch, ...)`` inputs, or plain 2-D
-        ones that every member shares.  Returns ``(outputs, cache)``; in
-        train mode dropout masks are drawn from ``rng``, one stream per member
-        for a stacked model.
+        A stacked model takes ``(members, batch, ...)`` inputs, or, in eval
+        mode, plain 2-D ones that every member shares.  Returns ``(outputs,
+        cache)``; in train mode dropout masks are drawn from ``rng``, one
+        stream per member for a stacked model, and each member's mask is
+        sized to its own input, so train mode needs the member axis.
         """
+        x = np.asarray(inputs, dtype=np.float64)
+        members = self.head.w.value.shape[:-2]
+        if self.mode == "train" and members and x.shape[:-2] != members:
+            raise ShapeError(
+                f"train mode needs one input per member, on leading axes "
+                f"{members}; got inputs of shape {x.shape}")
         out, entries, head_cache = self._run(
-            inputs, LayerContext(self.mode, rng, keep_cache=True))
+            x, LayerContext(self.mode, rng, keep_cache=True))
         return out, ForwardCache(self, self._forward_token, entries,
                                  head_cache)
 
@@ -449,11 +462,24 @@ class Model:
         """Outputs of an eval-mode ``forward`` on ``inputs``, bit for bit,
         without building the backward cache.
 
-        It counts as a forward: a cache taken before it is stale.
+        Runs in blocks of ``_PREDICT_ROWS`` rows, so each step's temporaries
+        stay cache-sized however many rows come in, and concatenates the
+        blocks along the rows axis.  A product's rows do not depend on how
+        many rows it has, except that OpenBLAS takes another path for a
+        single row; so a 1-row tail joins the block before it.  It counts
+        as a forward: a cache taken before it is stale.
         """
-        out, _, _ = self._run(inputs,
-                              LayerContext("eval", None, keep_cache=False))
-        return out
+        x = np.asarray(inputs, dtype=np.float64)
+        if x.ndim < 2:
+            raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
+        ctx = LayerContext("eval", None, keep_cache=False)
+        n = x.shape[-2]
+        edges = list(range(_PREDICT_ROWS, n, _PREDICT_ROWS))
+        if edges and n - edges[-1] == 1:
+            edges.pop()
+        return np.concatenate([self._run(block, ctx)[0]
+                               for block in np.split(x, edges, axis=-2)],
+                              axis=-2)
 
     def _run(self, inputs, ctx):
         """The layer forwards under ``ctx``; returns ``(outputs, entries,
@@ -567,8 +593,7 @@ def save_checkpoint(model, path, seed=None, epoch=0, best_val_loss=None):
 
 def load_checkpoint(path):
     """Rebuild the model from a checkpoint file; returns (model, doc)."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ConfigError(
             f"unsupported checkpoint format_version {doc.get('format_version')!r}")

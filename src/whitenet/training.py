@@ -17,7 +17,6 @@ the same floating-point operations as a fit of that seed alone.  So a run's
 record and checkpoint do not depend on ``jobs``.
 """
 
-import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 
@@ -28,6 +27,7 @@ from .datasets import (
     dataset_manifest,
     desk_regimes,
     normalize_fit_apply,
+    read_json,
     split,
     write_json,
 )
@@ -173,10 +173,12 @@ def dataset_loss(model, ds, loss_cfg, chunk=2048):
     """Composite loss of the model over a whole dataset, eval mode, exact.
 
     Chunked row-wise; both loss terms are means over rows, so the weighted
-    combination equals the single-pass value.  Forward only: each chunk goes
-    through :meth:`Model.predict`, which builds no backward cache, and the
-    value-only path of the loss builds no gradient arrays.  A stacked model
-    runs every chunk through all its members and gives one loss per member.
+    combination equals the single-pass value.  The chunks fix the loss's
+    bits; the forward inside a chunk runs in :meth:`Model.predict`'s smaller
+    row blocks, which give the same bits.  Forward only: ``predict`` builds
+    no backward cache, and the value-only path of the loss builds no
+    gradient arrays.  A stacked model runs every chunk through all its
+    members and gives one loss per member.
     """
     total = 0.0
     for start in range(0, ds.n, chunk):
@@ -396,15 +398,20 @@ def prepare_data(system, lb=10, lf=10, data_seed=0, regimes=None,
     Returns a dict with keys train, val, extrap, stats, manifests.  The split
     and normalization depend only on ``data_seed``, so every run in a matrix
     sees the same data.
+
+    Memory stays close to what it returns: the interpolation regime is
+    freed once it is split, before the extrapolation regime is built, and
+    the inputs are normalized in place.
     """
     if regimes is None:
         interp_spec, extrap_spec = desk_regimes(system, data_seed)
     else:
         interp_spec, extrap_spec = regimes
-    interp = build_regime(system, interp_spec, lb=lb, lf=lf, params=params)
+    train, val = split(
+        build_regime(system, interp_spec, lb=lb, lf=lf, params=params),
+        (1.0 - val_fraction, val_fraction),
+        RngState(data_seed).child(_STREAM_SPLIT))
     extrap = build_regime(system, extrap_spec, lb=lb, lf=lf, params=params)
-    train, val = split(interp, (1.0 - val_fraction, val_fraction),
-                       RngState(data_seed).child(_STREAM_SPLIT))
     (train, val, extrap), stats = normalize_fit_apply(train, val, extrap)
     manifests = {name: dataset_manifest(ds, stats)
                  for name, ds in (("train", train), ("val", val),
@@ -482,8 +489,8 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=10, lf=10,
     as one stacked model (see :func:`fit_stack`); ``jobs=1`` fits them one
     by one.  Each run's record and checkpoint are the same bits either way.
     A stack holds ``jobs`` copies of every activation, so memory grows with
-    ``jobs``; validation runs forward only, so its 2048-row chunks add their
-    activations but no backward cache.  Failures (divergence included)
+    ``jobs``; validation runs forward only, in 512-row blocks, and adds
+    their activations but no backward cache.  Failures (divergence included)
     become error records; the matrix finishes.  Results come back in job
     order, so equal inputs give equal outputs, and with ``out_dir`` set
     every run leaves a manifest + checkpoint directory.
@@ -530,5 +537,4 @@ def save_run(record, run_dir, dataset_manifests=None):
 
 
 def load_run(run_dir):
-    with open(os.path.join(run_dir, "record.json")) as fh:
-        return json.load(fh)
+    return read_json(os.path.join(run_dir, "record.json"))

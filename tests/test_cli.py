@@ -4,11 +4,12 @@ import filecmp
 import json
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
 
-from whitenet import losses, training
+from whitenet import cli, losses, training
 from whitenet.cli import main
 from whitenet.datasets import csv_ingest
 from whitenet.evaluation import load_report
@@ -195,6 +196,12 @@ def no_data(monkeypatch):
     # trained and exited 0, but eval of the run exited 1
     (["--loss", "mse", "--lf", "5", "--lags", "5"],
      "--lf 5 must exceed --lags 5: the whiteness statistic"),
+    # wrote a failed run dir, or created --out, and exited 1
+    (["--seeds", "2,-1"], "seeds must be >= 0, got -1"),
+    (["--lb", "0"], "--lb must be >= 1, got 0"),
+    (["--lf", "0"], "--lf must be >= 1, got 0"),
+    # crashed with a traceback from the random stream
+    (["--data-seed", "-1"], "--data-seed must be >= 0, got -1"),
 ])
 def test_train_seeds_and_windows_are_checked_first(tmp_path, capsys,
                                                    no_data, flags, message):
@@ -336,6 +343,46 @@ def test_eval_rejects_one_run_dir_given_twice(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{run_dir}/ and {run_dir} are the same run directory" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fname", ["record.json", "checkpoint.json"])
+def test_eval_truncated_json_exits_1_naming_the_file(tmp_path, capsys, fname):
+    # an interrupted write leaves a file cut short; it was a traceback
+    assert _train(tmp_path, "--seed", "1", "--epochs", "1") == 0
+    path = tmp_path / "pendulum_dense_lam1_seed1" / fname
+    path.write_bytes(path.read_bytes()[:100])
+    capsys.readouterr()
+    assert main(["eval", str(path.parent)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {path} is not valid JSON")
+
+
+def test_eval_holds_one_systems_data_at_a_time(tmp_path, monkeypatch):
+    for system in ("pendulum", "backlash"):
+        assert main(["train", "--system", system, "--model", "dense",
+                     "--seeds", "1,2", "--out", str(tmp_path)] + FAST_TRAIN) == 0
+    runs = sorted(str(p) for p in tmp_path.iterdir() if p.is_dir())
+    built = []     # (system, weakref) for every dataset prepare_data made
+    real_prepare, real_evaluate = cli.prepare_data, cli.evaluate
+
+    def prepare_data(system, **kwargs):
+        data = real_prepare(system, **kwargs)
+        built.extend((system, weakref.ref(data[name]))
+                     for name in ("train", "val", "extrap"))
+        return data
+
+    def evaluate(model, ds, **kwargs):
+        live = [system for system, ref in built if ref() is not None]
+        # this system's val and extrap: no train split, no other system
+        assert len(live) == 2 and len(set(live)) == 1, live
+        return real_evaluate(model, ds, **kwargs)
+
+    monkeypatch.setattr(cli, "prepare_data", prepare_data)
+    monkeypatch.setattr(cli, "evaluate", evaluate)
+    assert main(["eval", *runs, "--aggregate",
+                 "--out", str(tmp_path / "reports")]) == 0
+    assert [system for system, _ in built[::3]] == ["backlash", "pendulum"]
+    assert all(ref() is None for _, ref in built)
 
 
 @pytest.mark.parametrize("lags", ["0", "-1"])

@@ -192,15 +192,17 @@ def test_evaluate_guards():
 
 
 def test_predict_chunking_matches_single_pass():
+    # 1025 rows: Model.predict's row blocks of 512, with the 1-row tail
+    # folded into the last block
     rng = np.random.default_rng(5)
-    inputs = rng.normal(size=(23, 4))
-    ds = WindowedDataset(inputs=inputs, targets=np.zeros((23, 6)), lb=2, lf=3,
-                         input_names=("a", "b"), target_names=("u", "v"))
+    inputs = rng.normal(size=(1025, 4))
+    ds = WindowedDataset(inputs=inputs, targets=np.zeros((1025, 6)), lb=2,
+                         lf=3, input_names=("a", "b"), target_names=("u", "v"))
     model = Model([DenseSpec(4, 8), DenseSpec(8, 6, activation="linear")],
                   RngState(2))
     model.set_mode("eval")
     whole, _ = model.forward(inputs)
-    chunked = predict(model, ds, chunk=7)
+    chunked = predict(model, ds)
     assert np.array_equal(whole, chunked)
 
 
@@ -301,6 +303,14 @@ def test_report_version_guard(tmp_path):
     doc["format_version"] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError):
+        load_report(path)
+
+
+def test_truncated_report_is_a_config_error_naming_the_file(tmp_path):
+    path = tmp_path / "rep.json"
+    emit(_report("s0", 0.1), "json", path)
+    path.write_bytes(path.read_bytes()[:40])
+    with pytest.raises(ConfigError, match=f"{path} is not valid JSON"):
         load_report(path)
 
 

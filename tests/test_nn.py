@@ -424,6 +424,46 @@ def test_predict_matches_eval_forward_exactly(arch):
         assert _same_bits(model.predict(inputs), want)
 
 
+@pytest.mark.parametrize("arch", ["dense", "rnn", "lstm"])
+def test_predict_in_row_blocks_matches_one_forward(arch):
+    # row counts around predict's 512-row blocks: a lone row, the block
+    # edges, and 1-row tails that join the block before them
+    specs, seq_shape = build_specs(arch, 10, 3, 10, 3)
+    members = [Model(specs, RngState(60 + s), seq_shape) for s in range(2)]
+    stacked = stack_models(members)
+    for n in (1, 2, 511, 512, 513, 1025, 2049):
+        x = RngState(n).normal(size=(2, n, 30))
+        for model, inputs in ((members[0], x[0]),   # a single model
+                              (stacked, x),         # a stack, one input each
+                              (stacked, x[0])):     # a stack sharing one input
+            model.set_mode("eval")
+            want, _ = model.forward(inputs)
+            assert _same_bits(model.predict(inputs), want), (n, inputs.shape)
+
+
+@pytest.mark.parametrize("batch", [3, 5])
+@pytest.mark.parametrize("arch", ["dense", "rnn"])
+def test_stacked_train_forward_needs_the_member_axis(arch, batch):
+    # on a shared input each member's dropout mask is drawn at the input's
+    # own shape: at batch 3 (one row per member) every row got another
+    # member's mask, at batch 5 the masks did not broadcast
+    specs, seq_shape = build_specs(arch, 4, 3, 2, 2, hidden=5, dropout=0.5)
+    stacked = stack_models([Model(specs, RngState(70 + s), seq_shape)
+                            for s in range(3)])
+    rngs = [RngState(80 + s) for s in range(3)]
+    x = RngState(9).normal(size=(batch, 12))
+    stacked.set_mode("train")
+    with pytest.raises(ShapeError, match="one input per member"):
+        stacked.forward(x, rng=rngs)
+    with pytest.raises(ShapeError, match="one input per member"):
+        stacked.forward(np.stack([x] * 2), rng=rngs)
+    out, _ = stacked.forward(np.stack([x] * 3), rng=rngs)
+    assert out.shape == (3, batch, 4)
+    stacked.set_mode("eval")          # eval still shares a plain input
+    shared, _ = stacked.forward(x)
+    assert _same_bits(shared, stacked.predict(np.stack([x] * 3)))
+
+
 def _peak_bytes(func):
     """Peak traced allocation while ``func()`` runs, above what was live
     before it; what ``func`` returns is still live at the end."""
@@ -462,7 +502,7 @@ def test_chunked_predict_peaks_below_one_forward_chunk():
                          input_names=("a", "b", "c"),
                          target_names=("a", "b", "c"))
     forward_peak = _peak_bytes(lambda: model.forward(ds.inputs[:2048]))
-    predict_peak = _peak_bytes(lambda: predict(model, ds, chunk=2048))
+    predict_peak = _peak_bytes(lambda: predict(model, ds))
     assert predict_peak < forward_peak, (predict_peak, forward_peak)
 
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -349,6 +350,22 @@ def test_adam_step_stacked_matches_members():
         for p, q in zip(member, stacked):
             assert _same_bits(p.value, q.value[s])
             assert _same_bits(p.grad, q.grad[s])
+
+
+def test_prepare_data_peak_stays_near_what_it_keeps():
+    # the interp regime once split and copies made to normalize pushed the
+    # peak to 2.4x the datasets returned
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        data = prepare_data("pendulum")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = sum(data[name].inputs.nbytes + data[name].targets.nbytes
+               for name in ("train", "val", "extrap"))
+    assert peak <= 1.6 * kept, (peak, kept)
 
 
 def test_save_and_load_run(tmp_path):
