@@ -8,9 +8,12 @@ states, never residuals, and stay in raw physical units; only inputs are
 normalized, with per-channel statistics fit on the training split alone.
 """
 
+import contextlib
 import csv
 import json
 import math
+import os
+import tempfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -121,22 +124,6 @@ def window(traj, lb, lf):
         meta={"dt": traj.dt})
 
 
-def concat(datasets):
-    """Stack windowed datasets that share shape and channel names."""
-    if not datasets:
-        raise DomainError("nothing to concatenate")
-    first = datasets[0]
-    for ds in datasets[1:]:
-        if (ds.lb, ds.lf, ds.input_names, ds.target_names) != \
-                (first.lb, first.lf, first.input_names, first.target_names):
-            raise ShapeError("datasets disagree on window shape or channels")
-    return WindowedDataset(
-        np.vstack([ds.inputs for ds in datasets]),
-        np.vstack([ds.targets for ds in datasets]),
-        first.lb, first.lf, first.input_names, first.target_names,
-        meta=dict(first.meta))
-
-
 def regime_trajectories(system, spec, params=None):
     """Yield the trajectories of one excitation regime, one per child stream.
 
@@ -167,10 +154,26 @@ def regime_trajectories(system, spec, params=None):
 
 
 def build_regime(system, spec, lb=10, lf=10, params=None):
-    """Generate trajectories under one excitation regime and window them all."""
-    parts = [window(traj, lb, lf)
-             for traj in regime_trajectories(system, spec, params)]
-    out = concat(parts)
+    """Generate trajectories under one excitation regime and window them all.
+
+    Every trajectory has ``spec.steps`` steps, so the regime has
+    ``spec.n_traj * (spec.steps - lb - lf + 1)`` windows.  The inputs and
+    targets are allocated once, and each trajectory's windows are written
+    into their own rows, in trajectory order; only one trajectory's windows
+    exist besides the regime's arrays.
+    """
+    out = None
+    for i, traj in enumerate(regime_trajectories(system, spec, params)):
+        part = window(traj, lb, lf)
+        if out is None:
+            out = WindowedDataset(
+                np.empty((spec.n_traj * part.n, part.inputs.shape[1])),
+                np.empty((spec.n_traj * part.n, part.targets.shape[1])),
+                lb, lf, part.input_names, part.target_names,
+                meta=dict(part.meta))
+        rows = slice(i * part.n, (i + 1) * part.n)
+        out.inputs[rows] = part.inputs
+        out.targets[rows] = part.targets
     out.meta.update({"system": system, "regime": asdict(spec),
                      "lb": lb, "lf": lf,
                      "target_convention": TARGET_CONVENTION})
@@ -226,10 +229,12 @@ def fit_stats(train):
     """Per-channel mean/std over every step of every training input window."""
     if train.n == 0:
         raise DomainError("cannot fit normalization stats on an empty dataset")
-    d_in = train.d_in
-    view = train.inputs.reshape(train.n * train.lb, d_in)
+    view = train.inputs.reshape(train.n * train.lb, train.d_in)
     mean = view.mean(axis=0)
-    std = np.maximum(view.std(axis=0), 1e-8)
+    # numpy's own std steps, with the mean formed once: same bits
+    d = view - mean
+    d *= d
+    std = np.maximum(np.sqrt(d.sum(axis=0) / view.shape[0]), 1e-8)
     return NormalizationStats(mean, std)
 
 
@@ -266,7 +271,7 @@ _DT_RTOL = 1e-6
 def csv_export(traj, path):
     if not isinstance(traj, Trajectory):
         raise ConfigError(f"cannot export {type(traj).__name__} as CSV")
-    with open(path, "w", newline="") as fh:
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", *traj.state_names, *traj.action_names])
         for i in range(traj.states.shape[0]):
@@ -376,8 +381,41 @@ def read_json(path):
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
 
 
-def write_json(doc, path):
-    """The one JSON artifact format: sorted keys, indent 1, final newline."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+def write_json(doc, path, sort_keys=True):
+    """The one JSON artifact format: indent 1, final newline, strict JSON.
+
+    Keys are sorted unless ``sort_keys`` is false.  A non-finite float,
+    which strict JSON cannot hold, raises :class:`DomainError` naming the
+    file, and the file is left as it was.
+    """
+    with open_atomic(path) as fh:
+        try:
+            json.dump(doc, fh, indent=1, sort_keys=sort_keys, allow_nan=False)
+        except ValueError as exc:
+            raise DomainError(f"{path}: {exc}") from None
         fh.write("\n")
+
+
+@contextlib.contextmanager
+def open_atomic(path, newline=None):
+    """Open ``path`` for writing text that replaces it all at once.
+
+    The text goes to a temporary file in the same directory, named
+    ``.<name>.<random>.tmp`` so that no artifact pattern matches it.  When
+    the block ends, ``os.replace`` puts it in place of ``path``; when the
+    block raises, it is removed and ``path`` is left as it was.  The file
+    gets the permissions a plain ``open(path, "w")`` would give it.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp",
+                               dir=directory)
+    try:
+        with os.fdopen(fd, "w", newline=newline) as fh:
+            os.fchmod(fd, 0o666 & ~umask)
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

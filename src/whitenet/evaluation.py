@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import read_json, write_json
+from .datasets import open_atomic, read_json, write_json
 from .errors import ConfigError, DomainError, ShapeError
 from .losses import LossConfig, ljb_statistic, mse
 
@@ -271,13 +271,13 @@ def _emit_markdown(report, path):
         lines.append("")
         lines.append(f"ACF bands: per-window +/-{_fmt(report.band_window)}, "
                      f"batch-averaged +/-{_fmt(report.band_mean)}.")
-    with open(path, "w") as fh:
+    with open_atomic(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _emit_acf_csv(report, path):
     """Per-lag plot data, zero lag suppressed: channel, lag, value, band."""
-    with open(path, "w", newline="") as fh:
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["channel", "lag", "value", "band"])
         for i, ch in enumerate(report.channels):
@@ -308,5 +308,5 @@ def emit_comparison(aggregates, path):
             cells.append(f"{_fmt(agg.mean['sum_ac'][i])} "
                          f"+/- {_fmt(agg.std['sum_ac'][i])}")
         lines.append("| " + " | ".join(cells) + " |")
-    with open(path, "w") as fh:
+    with open_atomic(path) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -31,20 +31,21 @@ Inner products here are plain BLAS-backed numpy matmuls, over whole
 batches and, in a stacked model, every member at once.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import read_json
+from .datasets import read_json, write_json
 from .errors import ConfigError, ShapeError, StateError
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-# Rows per block of Model.predict.  A desk LSTM step's temporaries are
-# rows x 4*hidden floats: 0.4 MB at 512 rows fit a 2 MiB L2 cache, the
-# 1.5 MB of 2048 rows with their siblings do not.
-_PREDICT_ROWS = 512
+# Rows per block of Model.predict.  A desk LSTM block holds every step's
+# hidden state, rows x lookback x hidden floats (0.5 MB at 256 rows, 10
+# steps, hidden 24), and each step's temporaries of rows x 4*hidden floats
+# (0.2 MB), per member of a stack.  That fits a 2 MiB L2 cache with room
+# to spare, and keeps a validation pass small beside the fit it checks.
+_PREDICT_ROWS = 256
 
 
 @dataclass
@@ -462,12 +463,13 @@ class Model:
         """Outputs of an eval-mode ``forward`` on ``inputs``, bit for bit,
         without building the backward cache.
 
-        Runs in blocks of ``_PREDICT_ROWS`` rows, so each step's temporaries
-        stay cache-sized however many rows come in, and concatenates the
-        blocks along the rows axis.  A product's rows do not depend on how
-        many rows it has, except that OpenBLAS takes another path for a
-        single row; so a 1-row tail joins the block before it.  It counts
-        as a forward: a cache taken before it is stale.
+        Runs in blocks of ``_PREDICT_ROWS`` (256) rows, so a recurrent
+        block's unrolled steps and each step's temporaries stay cache-sized
+        however many rows come in, and concatenates the blocks along the
+        rows axis.  A product's rows do not depend on how many rows it has,
+        except that OpenBLAS takes another path for a single row; so a
+        1-row tail joins the block before it.  It counts as a forward: a
+        cache taken before it is stale.
         """
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim < 2:
@@ -586,9 +588,7 @@ def save_checkpoint(model, path, seed=None, epoch=0, best_val_loss=None):
         "best_val_loss": best_val_loss,
         "parameters": {p.name: p.value.tolist() for p in model.params},
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(doc, path, sort_keys=False)
 
 
 def load_checkpoint(path):

@@ -27,6 +27,7 @@ from .datasets import (
     dataset_manifest,
     desk_regimes,
     normalize_fit_apply,
+    open_atomic,
     read_json,
     split,
     write_json,
@@ -153,7 +154,7 @@ class RunRecord:
     val_losses: list = field(default_factory=list)
     lr_trace: list = field(default_factory=list)
     best_epoch: int = -1
-    best_val_loss: float = float("inf")
+    best_val_loss: float = None   # None until a validation epoch finishes
     epochs_run: int = 0
     checkpoint_path: str = None
     error: str = None
@@ -485,15 +486,17 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=10, lf=10,
     """Cross-product of systems x architectures x lambdas x seeds.
 
     Datasets are built once per system and shared read-only across runs.
-    The seeds of each (system, arch, lambda) cell train ``jobs`` at a time
-    as one stacked model (see :func:`fit_stack`); ``jobs=1`` fits them one
-    by one.  Each run's record and checkpoint are the same bits either way.
-    A stack holds ``jobs`` copies of every activation, so memory grows with
-    ``jobs``; validation runs forward only, in 512-row blocks, and adds
-    their activations but no backward cache.  Failures (divergence included)
-    become error records; the matrix finishes.  Results come back in job
-    order, so equal inputs give equal outputs, and with ``out_dir`` set
-    every run leaves a manifest + checkpoint directory.
+    Only the train and val sets and the manifests are kept: the
+    extrapolation set is dropped before the first fit, since training never
+    reads it.  The seeds of each (system, arch, lambda) cell train ``jobs``
+    at a time as one stacked model (see :func:`fit_stack`); ``jobs=1`` fits
+    them one by one.  Each run's record and checkpoint are the same bits
+    either way.  A stack holds ``jobs`` copies of every activation, so
+    memory grows with ``jobs``; validation runs forward only, in 256-row
+    blocks, and adds their activations but no backward cache.  Failures
+    (divergence included) become error records; the matrix finishes.
+    Results come back in job order, so equal inputs give equal outputs, and
+    with ``out_dir`` set every run leaves a manifest + checkpoint directory.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -503,9 +506,11 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=10, lf=10,
         regimes = None
         if regimes_by_system is not None:
             regimes = regimes_by_system.get(system)
-        data_by_system[system] = prepare_data(system, lb=lb, lf=lf,
-                                              data_seed=data_seed,
-                                              regimes=regimes)
+        data = prepare_data(system, lb=lb, lf=lf, data_seed=data_seed,
+                            regimes=regimes)
+        # training never reads the extrapolation set; its manifest stays
+        del data["extrap"]
+        data_by_system[system] = data
     records = []
     for system in systems:
         for arch in archs:
@@ -528,7 +533,7 @@ def save_run(record, run_dir, dataset_manifests=None):
     if dataset_manifests is not None:
         doc["datasets"] = dataset_manifests
     write_json(doc, os.path.join(run_dir, "record.json"))
-    with open(os.path.join(run_dir, "losses.csv"), "w") as fh:
+    with open_atomic(os.path.join(run_dir, "losses.csv")) as fh:
         fh.write("epoch,train_loss,val_loss,lr\n")
         for e, (tr, vl, lr) in enumerate(zip(record.train_losses,
                                              record.val_losses,

@@ -270,6 +270,23 @@ def test_train_divergence_warns_nothing(tmp_path):
     assert "diverged" in record["error"]
 
 
+def test_failed_run_record_is_strict_json(tmp_path):
+    # a failed run finished no validation epoch: best_val_loss is null,
+    # where it was Infinity, which strict JSON parsers reject
+    code = _train(tmp_path, "--seed", "1", "--lr", "1e200",
+                  "--grad-clip", "1e300")
+    assert code == 1
+
+    def no_constants(name):
+        raise AssertionError(f"record.json holds {name}")
+
+    record = json.loads(
+        (tmp_path / "pendulum_dense_lam1_seed1" / "record.json").read_text(),
+        parse_constant=no_constants)
+    assert "diverged" in record["error"]
+    assert record["best_val_loss"] is None
+
+
 # ---------------------------------------------------------------------------
 # eval
 

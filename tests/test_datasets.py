@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -10,13 +11,13 @@ from whitenet.datasets import (
     RegimeSpec,
     WindowedDataset,
     build_regime,
-    concat,
     csv_export,
     csv_ingest,
     dataset_manifest,
     desk_regimes,
     fit_stats,
     normalize_fit_apply,
+    open_atomic,
     regime_trajectories,
     split,
     window,
@@ -62,18 +63,6 @@ def test_window_target_follows_input_by_one_step():
         last_in = ds.inputs[i][-1]
         first_tgt = ds.targets[i][0]
         assert first_tgt == last_in + 1.0
-
-
-def test_concat_checks_compatibility():
-    a = window(_ramp_traj(12), 3, 2)
-    b = window(_ramp_traj(9), 3, 2)
-    both = concat([a, b])
-    assert both.n == a.n + b.n
-    c = window(_ramp_traj(12), 4, 2)
-    with pytest.raises(ShapeError):
-        concat([a, c])
-    with pytest.raises(DomainError):
-        concat([])
 
 
 def test_build_regime_deterministic_and_counts():
@@ -308,3 +297,84 @@ def test_manifest_round_trip(tmp_path):
     assert back == doc
     assert back["target_convention"] == "future states, raw units"
     assert back["meta"]["regime"]["amplitude"] == 0.5
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1000, 50000])
+def test_fit_stats_is_numpys_mean_and_std_bit_for_bit(rows):
+    # fit_stats forms the mean once and replays the rest of numpy's std; a
+    # numpy that computes the variance another way fails here
+    scale = np.tile([1e-3, 1.0, 50.0], 4)
+    x = RngState(rows).normal(size=(rows, 3 * 4)) * scale + 7.0
+    ds = WindowedDataset(x, np.zeros((rows, 1)), 4, 1, ("a", "b", "c"), ("a",))
+    stats = fit_stats(ds)
+    view = x.reshape(rows * 4, 3)
+    assert stats.mean.view(np.uint64).tolist() == \
+        view.mean(axis=0).view(np.uint64).tolist()
+    assert stats.std.view(np.uint64).tolist() == \
+        np.maximum(view.std(axis=0), 1e-8).view(np.uint64).tolist()
+
+
+def _dir_names(path):
+    return sorted(p.name for p in path.parent.iterdir())
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_json({"a": [1.0, 2.5]}, path),
+    lambda path: csv_export(_ramp_traj(5), path),
+])
+def test_a_write_cut_short_leaves_the_old_file(tmp_path, monkeypatch, write):
+    (tmp_path / "ref").mkdir()
+    write(tmp_path / "ref" / "artifact")
+    (tmp_path / "out").mkdir()
+    path = tmp_path / "out" / "artifact"
+    path.write_text("old\n")
+    real_fdopen = os.fdopen
+
+    class Cut(Exception):
+        pass
+
+    def fdopen(fd, *args, **kwargs):
+        fh = real_fdopen(fd, *args, **kwargs)
+        real_write = fh.write
+
+        def write_then_cut(text):
+            real_write(text)   # part of the new bytes reach the temp file
+            raise Cut
+
+        fh.write = write_then_cut
+        return fh
+
+    monkeypatch.setattr(os, "fdopen", fdopen)
+    with pytest.raises(Cut):
+        write(path)
+    assert path.read_text() == "old\n"
+    assert _dir_names(path) == ["artifact"]    # no temp file left behind
+    monkeypatch.undo()
+    write(path)
+    assert path.read_bytes() == (tmp_path / "ref" / "artifact").read_bytes()
+    assert _dir_names(path) == ["artifact"]
+
+
+def test_open_atomic_replaces_in_one_step_with_plain_permissions(tmp_path):
+    path = tmp_path / "out.txt"
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w") as fh:
+        fh.write("x")
+    with open_atomic(path) as fh:
+        fh.write("new")
+        (temp,) = [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+        assert temp.name.startswith(".out.txt.")
+        assert not path.exists()
+    assert path.read_text() == "new"
+    assert path.stat().st_mode == plain.stat().st_mode
+    assert _dir_names(path) == ["out.txt", "plain.txt"]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_write_json_refuses_non_finite_floats_naming_the_file(tmp_path, value):
+    path = tmp_path / "record.json"
+    write_json({"loss": 1.0}, path)
+    with pytest.raises(DomainError, match="record.json"):
+        write_json({"loss": value}, path)
+    assert json.loads(path.read_text()) == {"loss": 1.0}
+    assert _dir_names(path) == ["record.json"]

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import fd_grad, rel_err
 from whitenet.datasets import WindowedDataset
-from whitenet.errors import ConfigError, ShapeError, StateError
+from whitenet.errors import ConfigError, DomainError, ShapeError, StateError
 from whitenet.evaluation import predict
 from whitenet.nn import (
     Dense,
@@ -426,12 +426,12 @@ def test_predict_matches_eval_forward_exactly(arch):
 
 @pytest.mark.parametrize("arch", ["dense", "rnn", "lstm"])
 def test_predict_in_row_blocks_matches_one_forward(arch):
-    # row counts around predict's 512-row blocks: a lone row, the block
+    # row counts around predict's 256-row blocks: a lone row, the block
     # edges, and 1-row tails that join the block before them
     specs, seq_shape = build_specs(arch, 10, 3, 10, 3)
     members = [Model(specs, RngState(60 + s), seq_shape) for s in range(2)]
     stacked = stack_models(members)
-    for n in (1, 2, 511, 512, 513, 1025, 2049):
+    for n in (1, 2, 255, 256, 257, 511, 512, 513, 1025, 2049):
         x = RngState(n).normal(size=(2, n, 30))
         for model, inputs in ((members[0], x[0]),   # a single model
                               (stacked, x),         # a stack, one input each
@@ -538,6 +538,15 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     model.set_mode("eval")
     loaded.set_mode("eval")
     assert np.array_equal(model.forward(x)[0], loaded.forward(x)[0])
+
+
+def test_checkpoint_refuses_a_non_finite_value(tmp_path):
+    specs, seq_shape = build_specs("dense", 4, 3, 2, 2, hidden=6)
+    model = Model(specs, RngState(42), seq_shape=seq_shape)
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(DomainError, match="ckpt.json"):
+        save_checkpoint(model, path, best_val_loss=float("inf"))
+    assert not list(tmp_path.iterdir())
 
 
 def test_checkpoint_version_guard(tmp_path):
