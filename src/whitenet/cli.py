@@ -23,8 +23,10 @@ import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from .datasets import (
+    DESK_WINDOW,
     RegimeSpec,
     csv_export,
+    desk_regimes,
     read_json,
     regime_trajectories,
     write_json,
@@ -40,7 +42,14 @@ from .errors import (
 from .evaluation import aggregate, emit, emit_comparison, evaluate
 from .nn import load_checkpoint
 from .simulators import SYSTEMS, default_params
-from .training import TrainConfig, lam_tag, load_run, prepare_data, run_matrix
+from .training import (
+    CHECKPOINT_FILE,
+    TrainConfig,
+    lam_tag,
+    load_run,
+    prepare_data,
+    run_matrix,
+)
 
 _ARCHS = ("dense", "rnn", "lstm")
 _LOSSES = ("mse", "mse+ljb")
@@ -62,7 +71,8 @@ def _out_root(explicit, fallback):
 
 # Defaults of the regime flags that only some systems read: the double
 # pendulum is unactuated and varies its initial angles instead.
-_REGIME_DEFAULTS = {"amplitude": 0.5, "hold": 5, "init_jitter": 0.1}
+_REGIME_DEFAULTS = {"amplitude": 0.5, "hold": 5,
+                    "init_jitter": RegimeSpec.init_jitter}
 
 
 def cmd_simulate(args):
@@ -106,27 +116,33 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 # train
 
+# The flags (and --config keys) that set a TrainConfig field, and the field
+# each sets; their types and defaults are TrainConfig's own.
+_TRAIN_FIELDS = {
+    "lr": "lr0",
+    "batch": "batch",
+    "epochs": "max_epochs",
+    "plateau_patience": "plateau_patience",
+    "lr_factor": "lr_factor",
+    "early_stop_patience": "early_stop_patience",
+    "lam": "lam",
+    "lags": "lags",
+    "l2": "l2",
+    "dropout": "dropout",
+    "grad_clip": "grad_clip",
+}
+
 _TRAIN_DEFAULTS = {
     "system": "pendulum",
     "arch": "dense",
     "loss": "mse+ljb",
-    "lam": 1.0,
-    "lags": 5,
-    "lb": 10,
-    "lf": 10,
+    "lb": DESK_WINDOW,
+    "lf": DESK_WINDOW,
     "data_seed": 0,
     "seeds": [0],
     "jobs": 1,
-    "lr": 0.01,
-    "batch": 128,
-    "epochs": 200,
-    "plateau_patience": 10,
-    "lr_factor": 0.5,
-    "early_stop_patience": 30,
-    "l2": 0.001,
-    "dropout": 0.1,
-    "grad_clip": 5.0,
     "out": None,
+    **{flag: getattr(TrainConfig, name) for flag, name in _TRAIN_FIELDS.items()},
 }
 
 
@@ -193,9 +209,9 @@ def cmd_train(args):
     if cfg["loss"] == "mse":
         if args.lam is not None and args.lam != 0.0:
             raise UsageError("--lambda requires --loss mse+ljb")
-        lam = 0.0
+        lam = cfg["lam"] = 0.0
     else:
-        lam = float(cfg["lam"])
+        lam = cfg["lam"] = float(cfg["lam"])
     seeds = cfg["seeds"]
     if not seeds:
         raise UsageError("no seeds to train: the seed list is empty")
@@ -222,14 +238,14 @@ def cmd_train(args):
         raise UsageError(
             f"--lf {cfg['lf']} must exceed --lags {cfg['lags']}: the "
             f"whiteness statistic needs more residual steps than lags")
+    steps = min(spec.steps for spec in desk_regimes(cfg["system"]))
+    if cfg["lb"] + cfg["lf"] > steps:
+        raise UsageError(
+            f"--lb + --lf = {cfg['lb'] + cfg['lf']} exceeds the {steps} "
+            f"steps of a {cfg['system']} trajectory")
     try:
-        base = TrainConfig(
-            lr0=cfg["lr"], batch=cfg["batch"], max_epochs=cfg["epochs"],
-            plateau_patience=cfg["plateau_patience"],
-            lr_factor=cfg["lr_factor"],
-            early_stop_patience=cfg["early_stop_patience"],
-            lam=lam, lags=cfg["lags"], l2=cfg["l2"], dropout=cfg["dropout"],
-            grad_clip=cfg["grad_clip"])
+        base = TrainConfig(**{name: cfg[flag]
+                              for flag, name in _TRAIN_FIELDS.items()})
     except ConfigError as exc:
         raise UsageError(str(exc))
     out_dir = _out_root(cfg["out"], "runs")
@@ -240,9 +256,8 @@ def cmd_train(args):
         cfg_base=base, lb=cfg["lb"], lf=cfg["lf"], data_seed=cfg["data_seed"],
         out_dir=out_dir, jobs=jobs)
     elapsed = time.perf_counter() - start
-    manifest = dict(cfg)
-    manifest.pop("out", None)   # self-referential; keeps artifacts portable
-    manifest.update({"command": "train", "lam": lam, "seeds": seeds})
+    manifest = dict(cfg, command="train")
+    manifest.pop("out")   # self-referential; keeps artifacts portable
     write_json(manifest, os.path.join(
         out_dir, f"{cfg['system']}_{cfg['arch']}_lam{lam_tag(lam)}_matrix.json"))
     failed = 0
@@ -274,16 +289,15 @@ def _data_key(config):
     return (config["system"], config["lb"], config["lf"], config["data_seed"])
 
 
-def _eval_one_dir(run_dir, data_cache, lags_override=None):
-    """Reports (interp, extrap) for one run directory.
+def _eval_one_dir(run_dir, record, data_cache, lags_override):
+    """Reports (interp, extrap) for one run directory and its ``record``.
 
     ``data_cache`` maps a data key to the (interp, extrap) datasets, built
     here on the key's first run.  The train split is never kept: eval does
     not read it.
     """
-    record = load_run(run_dir)
     config = record["config"]
-    ckpt_path = os.path.join(run_dir, "checkpoint.json")
+    ckpt_path = os.path.join(run_dir, CHECKPOINT_FILE)
     if record.get("error"):
         raise StateError(
             f"{run_dir} holds a failed run ({record['error']}); nothing to eval")
@@ -324,13 +338,19 @@ def cmd_eval(args):
             raise UsageError(
                 f"{run_dir} and {seen[real]} are the same run directory")
         seen[real] = run_dir
+    records = [load_run(run_dir) for run_dir in args.run_dirs]
+    for run_dir, record in zip(args.run_dirs, records):
+        lf = record["config"]["lf"]
+        if args.lags is not None and args.lags >= lf:
+            raise UsageError(f"--lags {args.lags} must be below the "
+                             f"lookforward {lf} of {run_dir}")
     # each data key's datasets are freed after the last run dir that reads
     # them, so run dirs grouped by system hold one system's data at a time
-    keys = [_data_key(load_run(run_dir)["config"]) for run_dir in args.run_dirs]
+    keys = [_data_key(record["config"]) for record in records]
     data_cache = {}
     by_config = {}
     for i, run_dir in enumerate(args.run_dirs):
-        reports = _eval_one_dir(run_dir, data_cache, args.lags)
+        reports = _eval_one_dir(run_dir, records[i], data_cache, args.lags)
         if keys[i] not in keys[i + 1:]:
             del data_cache[keys[i]]
         out_dir = _out_root(args.out, run_dir)
@@ -425,8 +445,6 @@ def build_parser():
     p.add_argument("--system", default=None)
     p.add_argument("--model", "--arch", dest="arch", default=None)
     p.add_argument("--loss", default=None, choices=_LOSSES)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--lags", type=int, default=None)
     p.add_argument("--lb", type=int, default=None)
     p.add_argument("--lf", type=int, default=None)
     p.add_argument("--data-seed", type=int, default=None)
@@ -438,15 +456,9 @@ def build_parser():
                    help="train up to N seeds at once as one stacked model "
                         "(default 1: one at a time); memory grows with N: "
                         "a stack holds N copies of every activation")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--plateau-patience", type=int, default=None)
-    p.add_argument("--lr-factor", type=float, default=None)
-    p.add_argument("--early-stop-patience", type=int, default=None)
-    p.add_argument("--l2", type=float, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--grad-clip", type=float, default=None)
+    for key, name in _TRAIN_FIELDS.items():
+        flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+        p.add_argument(flag, dest=key, type=type(getattr(TrainConfig, name)))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train)
 

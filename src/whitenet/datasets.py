@@ -30,6 +30,7 @@ from .simulators import (
 
 MANIFEST_FORMAT_VERSION = 1
 TARGET_CONVENTION = "future states, raw units"
+DESK_WINDOW = 10   # desk-scale lb = lf; desk_regimes' budgets assume it
 
 
 @dataclass
@@ -40,7 +41,6 @@ class WindowedDataset:
     lf: int
     input_names: tuple           # d_in channel names (states ++ actions)
     target_names: tuple          # d_out channel names (states)
-    stats: object = None         # NormalizationStats once normalized
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -124,7 +124,7 @@ def window(traj, lb, lf):
         meta={"dt": traj.dt})
 
 
-def regime_trajectories(system, spec, params=None):
+def regime_trajectories(system, spec):
     """Yield the trajectories of one excitation regime, one per child stream.
 
     Actuated systems draw a fresh actuation sequence per trajectory, the
@@ -133,8 +133,7 @@ def regime_trajectories(system, spec, params=None):
     draws from the same per-trajectory stream.  Bit-reproducible for equal
     seeds.
     """
-    if params is None:
-        params = default_params(system)
+    params = default_params(system)
     root = RngState(spec.seed)
     for i in range(spec.n_traj):
         traj_rng = root.child(i)
@@ -153,7 +152,7 @@ def regime_trajectories(system, spec, params=None):
                        init_state=init)
 
 
-def build_regime(system, spec, lb=10, lf=10, params=None):
+def build_regime(system, spec, lb=DESK_WINDOW, lf=DESK_WINDOW):
     """Generate trajectories under one excitation regime and window them all.
 
     Every trajectory has ``spec.steps`` steps, so the regime has
@@ -163,7 +162,7 @@ def build_regime(system, spec, lb=10, lf=10, params=None):
     exist besides the regime's arrays.
     """
     out = None
-    for i, traj in enumerate(regime_trajectories(system, spec, params)):
+    for i, traj in enumerate(regime_trajectories(system, spec)):
         part = window(traj, lb, lf)
         if out is None:
             out = WindowedDataset(
@@ -184,10 +183,11 @@ def desk_regimes(system, data_seed=0):
     """Desk-scale (interpolation, extrapolation) regime pair for a system.
 
     Budgets target ~6000 interpolation windows (split 5000 train / 1000 val)
-    and 5000 extrapolation windows at lb = lf = 10.  Pendulum extrapolates in
-    actuation amplitude (0.5 -> 2.0), the backlash motor in actuation
-    frequency (hold shrunk 10x), and the free-fall double pendulum has no
-    actuation axis, so its held-out set is fresh trajectories under new seeds.
+    and 5000 extrapolation windows at lb = lf = DESK_WINDOW.  Pendulum
+    extrapolates in actuation amplitude (0.5 -> 2.0), the backlash motor in
+    actuation frequency (hold shrunk 10x), and the free-fall double pendulum
+    has no actuation axis, so its held-out set is fresh trajectories under
+    new seeds.
     """
     if system == "pendulum":
         interp = RegimeSpec(amplitude=0.5, hold=5, n_traj=12, steps=519,
@@ -220,8 +220,7 @@ def split(ds, fractions, rng):
 
     def take(idx):
         return WindowedDataset(ds.inputs[idx], ds.targets[idx], ds.lb, ds.lf,
-                               ds.input_names, ds.target_names, ds.stats,
-                               dict(ds.meta))
+                               ds.input_names, ds.target_names, dict(ds.meta))
     return take(idx_train), take(idx_val)
 
 
@@ -242,10 +241,10 @@ def normalize_fit_apply(train, *others):
     """Fit stats on train inputs, apply to all, in place; targets stay raw.
 
     Each dataset's inputs are overwritten with ``(x - mean) / std``, one
-    subtraction and one division per element, and its ``stats`` is set, so
-    no copy of the inputs is made.  The datasets must own their input
-    arrays and hold distinct ones.  Returns ``(datasets, stats)`` with
-    ``datasets[0]`` the train set, followed by the others in call order.
+    subtraction and one division per element, so no copy of the inputs is
+    made.  The datasets must own their input arrays and hold distinct ones.
+    Returns ``(datasets, stats)`` with ``datasets[0]`` the train set,
+    followed by the others in call order.
     """
     stats = fit_stats(train)
     datasets = [train, *others]
@@ -254,7 +253,6 @@ def normalize_fit_apply(train, *others):
         view = ds.inputs.reshape(ds.n * ds.lb, ds.d_in, copy=False)
         view -= stats.mean
         view /= stats.std
-        ds.stats = stats
     return datasets, stats
 
 
@@ -352,7 +350,7 @@ def csv_ingest(path):
 # ---------------------------------------------------------------------------
 # Manifests: enough structured metadata to re-create a dataset exactly.
 
-def dataset_manifest(ds, stats=None):
+def dataset_manifest(ds, stats):
     doc = {
         "format_version": MANIFEST_FORMAT_VERSION,
         "n": ds.n,
@@ -362,12 +360,11 @@ def dataset_manifest(ds, stats=None):
         "target_names": list(ds.target_names),
         "target_convention": TARGET_CONVENTION,
         "meta": {k: v for k, v in ds.meta.items() if k != "dt"},
+        "normalization": {"mean": stats.mean.tolist(),
+                          "std": stats.std.tolist()},
     }
     if "dt" in ds.meta:
         doc["dt"] = ds.meta["dt"]
-    if stats is not None:
-        doc["normalization"] = {"mean": stats.mean.tolist(),
-                                "std": stats.std.tolist()}
     return doc
 
 

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .datasets import (
+    DESK_WINDOW,
     build_regime,
     dataset_manifest,
     desk_regimes,
@@ -44,6 +45,8 @@ _STREAM_DROPOUT = 202
 _STREAM_SPLIT = 404
 
 PLATEAU_THRESHOLD = 1e-6   # absolute val-loss improvement that counts
+CHECKPOINT_FILE = "checkpoint.json"   # a checkpoint's name in its directory
+_VAL_FRACTION = 1.0 / 6.0   # of the interpolation windows (1000 of 6000)
 
 
 @dataclass
@@ -195,16 +198,14 @@ class _Member:
     """One fit's own state in a stack: its streams, its learning-rate and
     patience schedule, and its best weights."""
 
-    def __init__(self, model, cfg, checkpoint_dir, run_name):
+    def __init__(self, model, cfg, checkpoint_dir):
         self.model = model
         self.cfg = cfg
         self.checkpoint_dir = checkpoint_dir
-        self.run_name = run_name
         self.shuffle_rng = RngState(cfg.seed).child(_STREAM_SHUFFLE)
         self.dropout_rng = RngState(cfg.seed).child(_STREAM_DROPOUT)
         self.lr = cfg.lr0
-        self.record = RunRecord(config={"train": asdict(cfg),
-                                        "run_name": run_name})
+        self.record = RunRecord(config={"train": asdict(cfg)})
         self.best_params = [p.value.copy() for p in model.params]
         self.best_val = float("inf")      # exact running min, owns checkpoint
         self.patience_ref = float("inf")  # improvements below the threshold
@@ -259,7 +260,7 @@ class _Member:
         record.model = model
         if self.checkpoint_dir is not None:
             os.makedirs(self.checkpoint_dir, exist_ok=True)
-            path = os.path.join(self.checkpoint_dir, f"{self.run_name}.json")
+            path = os.path.join(self.checkpoint_dir, CHECKPOINT_FILE)
             save_checkpoint(model, path, seed=self.cfg.seed,
                             epoch=self.best_epoch, best_val_loss=self.best_val)
             record.checkpoint_path = path
@@ -273,7 +274,7 @@ def _keep_members(model, adam, keep):
         adam.m[i], adam.v[i] = adam.m[i][keep], adam.v[i][keep]
 
 
-def fit(model, train, val, cfg, checkpoint_dir=None, run_name="run"):
+def fit(model, train, val, cfg, checkpoint_dir=None):
     """Train ``model`` on ``train``, selecting by ``val`` composite loss.
 
     Validation selection uses the training objective itself: the composite
@@ -281,14 +282,13 @@ def fit(model, train, val, cfg, checkpoint_dir=None, run_name="run"):
     lambda = 0, so baseline runs are selected by MSE and whitened runs by
     their own criterion.
     """
-    (result,) = fit_stack([model], train, val, [cfg], [checkpoint_dir],
-                          [run_name])
+    (result,) = fit_stack([model], train, val, [cfg], [checkpoint_dir])
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def fit_stack(models, train, val, cfgs, checkpoint_dirs=None, run_names=None):
+def fit_stack(models, train, val, cfgs, checkpoint_dirs=None):
     """Train models of one architecture together, as one stacked model.
 
     ``cfgs`` holds one config per model and they may differ only in their
@@ -318,13 +318,11 @@ def fit_stack(models, train, val, cfgs, checkpoint_dirs=None, run_names=None):
     n = train.n
     batch = min(cfg.batch, n)
     n_batches = n // batch   # tail smaller than batch is dropped
-    count = len(models)
-    active = [_Member(model, c, checkpoint_dir, run_name)
-              for model, c, checkpoint_dir, run_name in zip(
-                  models, cfgs, checkpoint_dirs or [None] * count,
-                  run_names or ["run"] * count)]
+    active = [_Member(model, c, checkpoint_dir)
+              for model, c, checkpoint_dir in zip(
+                  models, cfgs, checkpoint_dirs or [None] * len(models))]
     members = list(active)
-    stacked = count > 1
+    stacked = len(models) > 1
     net = stack_models(models) if stacked else models[0]
     adam = AdamState(net.params)
 
@@ -392,8 +390,8 @@ def fit_stack(models, train, val, cfgs, checkpoint_dirs=None, run_names=None):
 # ---------------------------------------------------------------------------
 # Data preparation and the seed matrix.
 
-def prepare_data(system, lb=10, lf=10, data_seed=0, regimes=None,
-                 val_fraction=1.0 / 6.0, params=None):
+def prepare_data(system, lb=DESK_WINDOW, lf=DESK_WINDOW, data_seed=0,
+                 regimes=None):
     """Interpolation train/val plus extrapolation set, normalized, manifests.
 
     Returns a dict with keys train, val, extrap, stats, manifests.  The split
@@ -408,11 +406,10 @@ def prepare_data(system, lb=10, lf=10, data_seed=0, regimes=None,
         interp_spec, extrap_spec = desk_regimes(system, data_seed)
     else:
         interp_spec, extrap_spec = regimes
-    train, val = split(
-        build_regime(system, interp_spec, lb=lb, lf=lf, params=params),
-        (1.0 - val_fraction, val_fraction),
-        RngState(data_seed).child(_STREAM_SPLIT))
-    extrap = build_regime(system, extrap_spec, lb=lb, lf=lf, params=params)
+    train, val = split(build_regime(system, interp_spec, lb=lb, lf=lf),
+                       (1.0 - _VAL_FRACTION, _VAL_FRACTION),
+                       RngState(data_seed).child(_STREAM_SPLIT))
+    extrap = build_regime(system, extrap_spec, lb=lb, lf=lf)
     (train, val, extrap), stats = normalize_fit_apply(train, val, extrap)
     manifests = {name: dataset_manifest(ds, stats)
                  for name, ds in (("train", train), ("val", val),
@@ -451,29 +448,25 @@ def _run_group(system, arch, lam, seeds, data, cfg_base, lb, lf, out_dir,
             # by that name
             try:
                 results = [fit(models[0], train, data["val"], cfgs[0],
-                               checkpoint_dir=run_dirs[0],
-                               run_name="checkpoint")]
+                               checkpoint_dir=run_dirs[0])]
             except DivergenceError as exc:
                 results = [exc]
         else:
             results = fit_stack(models, train, data["val"], cfgs,
-                                checkpoint_dirs=run_dirs,
-                                run_names=["checkpoint"] * len(seeds))
+                                checkpoint_dirs=run_dirs)
     except Exception as exc:   # a failed run is a record, not a crash
         results = [exc] * len(seeds)
     records = []
     for cfg, name, run_dir, result in zip(cfgs, names, run_dirs, results):
         if isinstance(result, DivergenceError):
-            record = RunRecord(config={"train": asdict(cfg), "run_name": name},
-                               error=str(result))
+            record = RunRecord(config={"train": asdict(cfg)}, error=str(result))
         elif isinstance(result, Exception):
-            record = RunRecord(config={"train": asdict(cfg), "run_name": name},
+            record = RunRecord(config={"train": asdict(cfg)},
                                error=f"{type(result).__name__}: {result}")
         else:
             record = result
-            record.config["run_name"] = name
-        record.config.update({"system": system, "arch": arch, "lam": lam,
-                              "seed": cfg.seed, "lb": lb, "lf": lf,
+        record.config.update({"run_name": name, "system": system, "arch": arch,
+                              "lam": lam, "seed": cfg.seed, "lb": lb, "lf": lf,
                               "data_seed": data_seed})
         if run_dir is not None:
             save_run(record, run_dir, data["manifests"])
@@ -481,8 +474,9 @@ def _run_group(system, arch, lam, seeds, data, cfg_base, lb, lf, out_dir,
     return records
 
 
-def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=10, lf=10,
-               data_seed=0, regimes_by_system=None, out_dir=None, jobs=1):
+def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=DESK_WINDOW,
+               lf=DESK_WINDOW, data_seed=0, regimes_by_system=None,
+               out_dir=None, jobs=1):
     """Cross-product of systems x architectures x lambdas x seeds.
 
     Datasets are built once per system and shared read-only across runs.
@@ -523,15 +517,14 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=10, lf=10,
     return records
 
 
-def save_run(record, run_dir, dataset_manifests=None):
-    """Persist a run's record (and dataset manifests) as JSON + CSV trace."""
+def save_run(record, run_dir, dataset_manifests):
+    """Persist a run's record and dataset manifests as JSON + CSV trace."""
     os.makedirs(run_dir, exist_ok=True)
     doc = record.to_dict()
     if doc.get("checkpoint_path"):
         # relative to the run dir, so artifacts are path-independent
         doc["checkpoint_path"] = os.path.basename(doc["checkpoint_path"])
-    if dataset_manifests is not None:
-        doc["datasets"] = dataset_manifests
+    doc["datasets"] = dataset_manifests
     write_json(doc, os.path.join(run_dir, "record.json"))
     with open_atomic(os.path.join(run_dir, "losses.csv")) as fh:
         fh.write("epoch,train_loss,val_loss,lr\n")

@@ -202,6 +202,9 @@ def no_data(monkeypatch):
     (["--lf", "0"], "--lf must be >= 1, got 0"),
     # crashed with a traceback from the random stream
     (["--data-seed", "-1"], "--data-seed must be >= 0, got -1"),
+    # created --out, then exited 1: no window fits a 519-step trajectory
+    (["--lb", "300", "--lf", "300"],
+     "--lb + --lf = 600 exceeds the 519 steps of a pendulum trajectory"),
 ])
 def test_train_seeds_and_windows_are_checked_first(tmp_path, capsys,
                                                    no_data, flags, message):
@@ -210,6 +213,30 @@ def test_train_seeds_and_windows_are_checked_first(tmp_path, capsys,
     assert _train(tmp_path, *flags) == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_train_defaults_are_train_configs(tmp_path, monkeypatch):
+    # each hyperparameter flag, and the TrainConfig field it sets
+    fields = {"lr": "lr0", "batch": "batch", "epochs": "max_epochs",
+              "plateau_patience": "plateau_patience", "lr_factor": "lr_factor",
+              "early_stop_patience": "early_stop_patience", "lam": "lam",
+              "lags": "lags", "l2": "l2", "dropout": "dropout",
+              "grad_clip": "grad_clip"}
+    bases = []
+
+    def run_matrix(**kwargs):
+        bases.append(kwargs["cfg_base"])
+        return []
+
+    monkeypatch.setattr(cli, "run_matrix", run_matrix)
+    assert main(["train", "--out", str(tmp_path)]) == 0
+    manifest = json.loads(
+        (tmp_path / "pendulum_dense_lam1_matrix.json").read_text())
+    default = training.TrainConfig()
+    assert bases == [default]
+    assert {flag: manifest[flag] for flag in fields} == \
+        {flag: getattr(default, name) for flag, name in fields.items()}
+    assert (manifest["lb"], manifest["lf"]) == (10, 10)
 
 
 def test_train_config_empty_seed_list(tmp_path, capsys, no_data):
@@ -402,14 +429,41 @@ def test_eval_holds_one_systems_data_at_a_time(tmp_path, monkeypatch):
     assert all(ref() is None for _, ref in built)
 
 
-@pytest.mark.parametrize("lags", ["0", "-1"])
-def test_eval_lags_below_one_is_usage_error(tmp_path, capsys, lags):
-    assert _train(tmp_path, "--seed", "1", "--epochs", "1") == 0
-    run_dir = tmp_path / "pendulum_dense_lam1_seed1"
+@pytest.mark.parametrize("lfs, lags, message", [
+    pytest.param([10], "0", "--lags must be >= 1, got 0", id="0"),
+    pytest.param([10], "-1", "--lags must be >= 1, got -1", id="-1"),
+    # the first run's reports were written, then evaluate raised: exit 1
+    pytest.param([12, 10], "11", "--lags 11 must be below the lookforward 10",
+                 id="at-or-above-a-runs-lf"),
+])
+def test_eval_lags_below_one_is_usage_error(tmp_path, capsys, lfs, lags,
+                                            message):
+    runs = []
+    for i, lf in enumerate(lfs):
+        assert _train(tmp_path / str(i), "--seed", "1", "--epochs", "1",
+                      "--lf", str(lf)) == 0
+        runs.append(str(tmp_path / str(i) / "pendulum_dense_lam1_seed1"))
     capsys.readouterr()
-    assert main(["eval", str(run_dir), "--lags", lags]) == 2
-    assert f"--lags must be >= 1, got {lags}" in capsys.readouterr().err
-    assert not list(run_dir.glob("report_*"))
+    assert main(["eval", *runs, "--lags", lags]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/report_*"))
+    assert not list(tmp_path.glob("**/acf_*"))
+
+
+def test_eval_reads_each_record_once(tmp_path, monkeypatch):
+    assert _train(tmp_path, "--seeds", "1,2", "--epochs", "1") == 0
+    runs = sorted(str(p) for p in tmp_path.iterdir() if p.is_dir())
+    reads = []
+    real_load_run = cli.load_run
+
+    def load_run(run_dir):
+        reads.append(run_dir)
+        return real_load_run(run_dir)
+
+    monkeypatch.setattr(cli, "load_run", load_run)
+    assert main(["eval", *runs, "--aggregate",
+                 "--out", str(tmp_path / "reports")]) == 0
+    assert sorted(reads) == runs
 
 
 def test_eval_aggregate_over_seeds(tmp_path):

@@ -149,13 +149,15 @@ def test_split_edge_fractions():
 def test_normalize_fit_apply_contract():
     rng = RngState(9)
     inputs = rng.normal(size=(50, 12)) * 3.0 + 5.0
+    raw = inputs.copy()
     ds = WindowedDataset(inputs, np.zeros((50, 4)), 4, 2,
                          ("a", "b", "c"), ("a", "b"))
     (normed,), stats = normalize_fit_apply(ds)
     view = normed.inputs.reshape(-1, 3)
     assert np.max(np.abs(view.mean(axis=0))) < 1e-9
     assert np.max(np.abs(view.std(axis=0) - 1.0)) < 1e-6
-    assert normed.stats is stats
+    # the returned stats are the ones applied
+    assert np.allclose(view * stats.std + stats.mean, raw.reshape(-1, 3))
     # targets untouched
     assert np.array_equal(normed.targets, ds.targets)
 

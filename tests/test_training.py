@@ -204,8 +204,8 @@ def test_fit_checkpoint_written(tmp_path):
     model = Model([DenseSpec(6, 3, "linear")], RngState(1))
     rec = fit(model, train, val,
               TrainConfig(lam=0.0, max_epochs=5, seed=1, dropout=0.0),
-              checkpoint_dir=str(tmp_path), run_name="demo")
-    assert rec.checkpoint_path.endswith("demo.json")
+              checkpoint_dir=str(tmp_path))
+    assert rec.checkpoint_path == str(tmp_path / "checkpoint.json")
     from whitenet.nn import load_checkpoint
     loaded, doc = load_checkpoint(rec.checkpoint_path)
     assert doc["best_val_loss"] == rec.best_val_loss
@@ -227,8 +227,8 @@ def test_prepare_data_shapes_and_determinism():
     assert a["extrap"].n == total
     assert np.array_equal(a["train"].inputs, b["train"].inputs)
     assert np.array_equal(a["extrap"].targets, b["extrap"].targets)
-    assert a["train"].stats is not None
-    assert a["manifests"]["train"]["normalization"] is not None
+    assert a["manifests"]["train"]["normalization"]["mean"] == \
+        a["stats"].mean.tolist()
 
 
 def _tiny_cfg(**kw):
