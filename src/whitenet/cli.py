@@ -15,6 +15,7 @@ override built-in defaults.  The default output root comes from the
 """
 
 import argparse
+import inspect
 import os
 import sys
 import time
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from .datasets import (
-    DESK_WINDOW,
     RegimeSpec,
     csv_export,
     desk_regimes,
@@ -132,16 +132,18 @@ _TRAIN_FIELDS = {
     "grad_clip": "grad_clip",
 }
 
+# lb, lf, data_seed and jobs are run_matrix arguments of the same name, and
+# their defaults are run_matrix's own.
+_MATRIX_PARAMS = inspect.signature(run_matrix).parameters
+
 _TRAIN_DEFAULTS = {
     "system": "pendulum",
     "arch": "dense",
     "loss": "mse+ljb",
-    "lb": DESK_WINDOW,
-    "lf": DESK_WINDOW,
-    "data_seed": 0,
     "seeds": [0],
-    "jobs": 1,
     "out": None,
+    **{flag: _MATRIX_PARAMS[flag].default
+       for flag in ("lb", "lf", "data_seed", "jobs")},
     **{flag: getattr(TrainConfig, name) for flag, name in _TRAIN_FIELDS.items()},
 }
 
@@ -297,13 +299,7 @@ def _eval_one_dir(run_dir, record, data_cache, lags_override):
     not read it.
     """
     config = record["config"]
-    ckpt_path = os.path.join(run_dir, CHECKPOINT_FILE)
-    if record.get("error"):
-        raise StateError(
-            f"{run_dir} holds a failed run ({record['error']}); nothing to eval")
-    if not os.path.exists(ckpt_path):
-        raise StateError(f"missing checkpoint {ckpt_path}")
-    model, _ = load_checkpoint(ckpt_path)
+    model, _ = load_checkpoint(os.path.join(run_dir, CHECKPOINT_FILE))
     key = _data_key(config)
     if key not in data_cache:
         data = prepare_data(config["system"], lb=config["lb"],
@@ -339,11 +335,19 @@ def cmd_eval(args):
                 f"{run_dir} and {seen[real]} are the same run directory")
         seen[real] = run_dir
     records = [load_run(run_dir) for run_dir in args.run_dirs]
+    # every run dir is checked before any is evaluated, so a bad one
+    # leaves no reports behind
     for run_dir, record in zip(args.run_dirs, records):
         lf = record["config"]["lf"]
         if args.lags is not None and args.lags >= lf:
             raise UsageError(f"--lags {args.lags} must be below the "
                              f"lookforward {lf} of {run_dir}")
+        if record.get("error"):
+            raise StateError(f"{run_dir} holds a failed run "
+                             f"({record['error']}); nothing to eval")
+        ckpt_path = os.path.join(run_dir, CHECKPOINT_FILE)
+        if not os.path.exists(ckpt_path):
+            raise StateError(f"missing checkpoint {ckpt_path}")
     # each data key's datasets are freed after the last run dir that reads
     # them, so run dirs grouped by system hold one system's data at a time
     keys = [_data_key(record["config"]) for record in records]
@@ -428,14 +432,16 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="generate trajectory CSV files")
     p.add_argument("--system", required=True)
-    p.add_argument("--amplitude", type=float, help="default 0.5; actuated only")
-    p.add_argument("--hold", type=int, help="default 5; actuated only")
+    p.add_argument("--amplitude", type=float, help=(
+        f"default {_REGIME_DEFAULTS['amplitude']}; actuated only"))
+    p.add_argument("--hold", type=int, help=(
+        f"default {_REGIME_DEFAULTS['hold']}; actuated only"))
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--n-traj", type=int, default=1)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init-jitter", type=float,
-                   help="default 0.1; double_pendulum only")
+    p.add_argument("--init-jitter", type=float, help=(
+        f"default {_REGIME_DEFAULTS['init_jitter']}; double_pendulum only"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
@@ -454,8 +460,8 @@ def build_parser():
     group.add_argument("--seeds", dest="seeds", type=_seed_list, default=None)
     p.add_argument("--jobs", type=int, default=None,
                    help="train up to N seeds at once as one stacked model "
-                        "(default 1: one at a time); memory grows with N: "
-                        "a stack holds N copies of every activation")
+                        f"(default {_TRAIN_DEFAULTS['jobs']}); memory grows "
+                        "with N: a stack holds N copies of every activation")
     for key, name in _TRAIN_FIELDS.items():
         flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
         p.add_argument(flag, dest=key, type=type(getattr(TrainConfig, name)))

@@ -237,22 +237,30 @@ def fit_stats(train):
     return NormalizationStats(mean, std)
 
 
-def normalize_fit_apply(train, *others):
-    """Fit stats on train inputs, apply to all, in place; targets stay raw.
+def normalize_apply(stats, *datasets):
+    """Apply fitted stats to each dataset's inputs, in place; targets stay raw.
 
     Each dataset's inputs are overwritten with ``(x - mean) / std``, one
     subtraction and one division per element, so no copy of the inputs is
     made.  The datasets must own their input arrays and hold distinct ones.
-    Returns ``(datasets, stats)`` with ``datasets[0]`` the train set,
-    followed by the others in call order.
     """
-    stats = fit_stats(train)
-    datasets = [train, *others]
     for ds in datasets:
         # a view of the inputs, never a copy that would be normalized instead
         view = ds.inputs.reshape(ds.n * ds.lb, ds.d_in, copy=False)
         view -= stats.mean
         view /= stats.std
+
+
+def normalize_fit_apply(train, *others):
+    """Fit stats on train inputs and apply them to all, as
+    :func:`normalize_apply` does.
+
+    Returns ``(datasets, stats)`` with ``datasets[0]`` the train set,
+    followed by the others in call order.
+    """
+    stats = fit_stats(train)
+    datasets = [train, *others]
+    normalize_apply(stats, *datasets)
     return datasets, stats
 
 

@@ -27,6 +27,7 @@ from .datasets import (
     build_regime,
     dataset_manifest,
     desk_regimes,
+    normalize_apply,
     normalize_fit_apply,
     open_atomic,
     read_json,
@@ -398,9 +399,11 @@ def prepare_data(system, lb=DESK_WINDOW, lf=DESK_WINDOW, data_seed=0,
     and normalization depend only on ``data_seed``, so every run in a matrix
     sees the same data.
 
-    Memory stays close to what it returns: the interpolation regime is
-    freed once it is split, before the extrapolation regime is built, and
-    the inputs are normalized in place.
+    Memory stays close to what it returns.  Each stage frees its
+    temporaries before the next allocates: the interpolation regime is
+    freed once it is split, the stats are fit and train and val normalized
+    in place, and only then is the extrapolation regime built and
+    normalized in place with the same stats.
     """
     if regimes is None:
         interp_spec, extrap_spec = desk_regimes(system, data_seed)
@@ -409,8 +412,9 @@ def prepare_data(system, lb=DESK_WINDOW, lf=DESK_WINDOW, data_seed=0,
     train, val = split(build_regime(system, interp_spec, lb=lb, lf=lf),
                        (1.0 - _VAL_FRACTION, _VAL_FRACTION),
                        RngState(data_seed).child(_STREAM_SPLIT))
+    (train, val), stats = normalize_fit_apply(train, val)
     extrap = build_regime(system, extrap_spec, lb=lb, lf=lf)
-    (train, val, extrap), stats = normalize_fit_apply(train, val, extrap)
+    normalize_apply(stats, extrap)
     manifests = {name: dataset_manifest(ds, stats)
                  for name, ds in (("train", train), ("val", val),
                                   ("extrap", extrap))}

@@ -1,6 +1,7 @@
 """End-to-end command line tests: contracts, exit codes, determinism."""
 
 import filecmp
+import inspect
 import json
 import os
 import re
@@ -236,7 +237,10 @@ def test_train_defaults_are_train_configs(tmp_path, monkeypatch):
     assert bases == [default]
     assert {flag: manifest[flag] for flag in fields} == \
         {flag: getattr(default, name) for flag, name in fields.items()}
-    assert (manifest["lb"], manifest["lf"]) == (10, 10)
+    # the flags that are run_matrix arguments default to run_matrix's own
+    params = inspect.signature(training.run_matrix).parameters
+    for flag in ("lb", "lf", "data_seed", "jobs"):
+        assert manifest[flag] == params[flag].default, flag
 
 
 def test_train_config_empty_seed_list(tmp_path, capsys, no_data):
@@ -360,6 +364,31 @@ def test_eval_missing_checkpoint_exits_1(tmp_path, capsys):
     (run_dir / "checkpoint.json").unlink()
     assert main(["eval", str(run_dir)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", ["failed", "no-checkpoint"])
+def test_eval_checks_every_run_dir_before_writing_reports(tmp_path, capsys,
+                                                          bad):
+    # every run dir is checked first: eval used to write the good run dir's
+    # reports, then reach the bad one and exit 1
+    assert _train(tmp_path / "good", "--seed", "1", "--epochs", "1") == 0
+    good = tmp_path / "good" / "pendulum_dense_lam1_seed1"
+    if bad == "failed":
+        assert _train(tmp_path / "bad", "--seed", "1", "--lr", "1e200",
+                      "--grad-clip", "1e300") == 1
+        bad_dir = tmp_path / "bad" / "pendulum_dense_lam1_seed1"
+        message = f"{bad_dir} holds a failed run"
+    else:
+        assert _train(tmp_path / "bad", "--seed", "1", "--epochs", "1") == 0
+        bad_dir = tmp_path / "bad" / "pendulum_dense_lam1_seed1"
+        (bad_dir / "checkpoint.json").unlink()
+        message = f"missing checkpoint {bad_dir / 'checkpoint.json'}"
+    capsys.readouterr()
+    out = tmp_path / "reports"
+    assert main(["eval", str(good), str(bad_dir), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob("**/report_*"))
 
 
 def test_eval_rejects_a_file_among_run_dirs(tmp_path, capsys):
