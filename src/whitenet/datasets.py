@@ -1,11 +1,18 @@
 """Windowed supervised datasets built from simulator trajectories.
 
 A sample pairs a lookback window of observed channels plus actuations with
-the lookforward window of future observed channels.  Both windows are stored
-flat and step-major: column = step * width + channel, so a single channel of
-a sample is the strided slice ``row[channel::width]``.  Targets are future
-states, never residuals, and stay in raw physical units; only inputs are
-normalized, with per-channel statistics fit on the training split alone.
+the lookforward window of future observed channels.  A dataset does not
+store its windows: it holds a row index over window views of shared
+storage.  A regime's trajectories are written once, one after another, into
+an input series of (states ++ actions) and a state series, one step a
+row; window r's inputs are the lb steps from input row r on, and its
+targets the lf steps that follow them.  Each window is thus one row of a
+strided view of its series, and the splits of a regime share the series.
+A gathered window is flat and step-major: column = step * width + channel,
+so a single channel of a sample is the strided slice ``row[channel::width]``.
+Targets are future states, never residuals, and stay in raw physical units;
+only inputs are normalized, with per-channel statistics fit on the training
+split alone.
 """
 
 import contextlib
@@ -14,7 +21,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,33 +40,39 @@ TARGET_CONVENTION = "future states, raw units"
 DESK_WINDOW = 10   # desk-scale lb = lf; desk_regimes' budgets assume it
 
 
-@dataclass
 class WindowedDataset:
-    inputs: np.ndarray           # (N, lb * d_in)
-    targets: np.ndarray          # (N, lf * d_out)
-    lb: int
-    lf: int
-    input_names: tuple           # d_in channel names (states ++ actions)
-    target_names: tuple          # d_out channel names (states)
-    meta: dict = field(default_factory=dict)
+    """The windows ``rows`` of input and target storage.
 
-    def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.targets = np.asarray(self.targets, dtype=np.float64)
-        if self.inputs.ndim != 2 or self.targets.ndim != 2:
-            raise ShapeError("inputs and targets must be 2-D")
-        if self.inputs.shape[0] != self.targets.shape[0]:
-            raise ShapeError("inputs and targets must have equal row counts")
-        if self.inputs.shape[1] != self.lb * len(self.input_names):
-            raise ShapeError("input width != lb * len(input_names)")
-        if self.targets.shape[1] != self.lf * len(self.target_names):
-            raise ShapeError("target width != lf * len(target_names)")
-        self.input_names = tuple(self.input_names)
-        self.target_names = tuple(self.target_names)
+    A storage row holds one step of the channels (a series) or one whole
+    window (a plain ``(N, lb * d_in)`` or ``(N, lf * d_out)`` matrix).
+    Window r is the window's worth of values from storage row r on: row r
+    of a strided view whose step is the storage's row width.  ``rows``
+    defaults to every window of a plain matrix pair.
+    """
+
+    def __init__(self, inputs, targets, lb, lf, input_names, target_names,
+                 meta=None, rows=None):
+        self.input_storage = np.ascontiguousarray(inputs, dtype=np.float64)
+        self.target_storage = np.ascontiguousarray(targets, dtype=np.float64)
+        self.lb = lb
+        self.lf = lf
+        self.input_names = tuple(input_names)
+        self.target_names = tuple(target_names)
+        self.meta = {} if meta is None else meta
+        self._input_windows = _window_view(self.input_storage, lb, self.d_in,
+                                           "input")
+        self._target_windows = _window_view(self.target_storage, lf,
+                                            self.d_out, "target")
+        if rows is None:
+            if len(self._input_windows) != len(self._target_windows):
+                raise ShapeError(
+                    "inputs and targets must have equal row counts")
+            rows = np.arange(len(self._input_windows))
+        self.rows = np.asarray(rows, dtype=np.intp)
 
     @property
     def n(self):
-        return self.inputs.shape[0]
+        return len(self.rows)
 
     @property
     def d_in(self):
@@ -68,6 +81,41 @@ class WindowedDataset:
     @property
     def d_out(self):
         return len(self.target_names)
+
+    @property
+    def inputs(self):
+        """Every input window, gathered: ``(n, lb * d_in)``."""
+        return self._input_windows[self.rows]
+
+    @property
+    def targets(self):
+        """Every target window, gathered: ``(n, lf * d_out)``."""
+        return self._target_windows[self.rows]
+
+    def batch(self, index):
+        """Inputs and targets of the windows ``rows[index]``, gathered.
+
+        An integer index array of shape ``(k, m)`` gives ``(k, m, width)``
+        arrays, as a stacked model's members take their batches.
+        """
+        rows = self.rows[index]
+        return self._input_windows[rows], self._target_windows[rows]
+
+
+def _window_view(storage, steps, channels, what):
+    """Read-only view whose row r is the ``steps * channels`` values of
+    ``storage`` from its row r on."""
+    if storage.ndim != 2:
+        raise ShapeError(f"{what}s must be 2-D")
+    width, step = steps * channels, storage.shape[1]
+    if step not in (channels, width):
+        raise ShapeError(f"{what} width {step} is neither one step "
+                         f"({channels}) nor one window ({width}) of channels")
+    flat = storage.reshape(-1)
+    count = max(0, (flat.size - width) // step + 1)
+    return np.lib.stride_tricks.as_strided(
+        flat, (count, width), (step * flat.itemsize, flat.itemsize),
+        writeable=False)
 
 
 @dataclass
@@ -103,25 +151,29 @@ class NormalizationStats:
         self.std.flags.writeable = False
 
 
-def window(traj, lb, lf):
-    """Cut one trajectory into all its (lookback, lookforward) samples."""
+def window(traj, lb, lf, run_steps=None):
+    """Cut a trajectory into all its (lookback, lookforward) samples.
+
+    The samples are windows of two series: the states and actions,
+    side by side, and the states from step ``lb`` on.  A trajectory made of
+    runs of ``run_steps`` steps each, one after the other, gets only the
+    windows that lie within one run.
+    """
     if lb < 1 or lf < 1:
         raise DomainError(f"lb and lf must be >= 1, got {lb}, {lf}")
     steps = traj.states.shape[0]
-    if steps < lb + lf:
+    run_steps = steps if run_steps is None else run_steps
+    if run_steps < lb + lf:
         raise DomainError(
-            f"trajectory length {steps} < lb + lf = {lb + lf}")
-    n = steps - lb - lf + 1
-    full = np.hstack([traj.states, traj.actions])
-    in_idx = np.arange(lb)[None, :] + np.arange(n)[:, None]
-    tgt_idx = np.arange(lf)[None, :] + lb + np.arange(n)[:, None]
-    inputs = full[in_idx].reshape(n, lb * full.shape[1])
-    targets = traj.states[tgt_idx].reshape(n, lf * traj.states.shape[1])
+            f"trajectory length {run_steps} < lb + lf = {lb + lf}")
+    n = run_steps - lb - lf + 1
+    rows = (np.arange(0, steps, run_steps)[:, None]
+            + np.arange(n)[None, :]).reshape(-1)
     return WindowedDataset(
-        inputs, targets, lb, lf,
+        np.hstack([traj.states, traj.actions]), traj.states[lb:], lb, lf,
         tuple(traj.state_names) + tuple(traj.action_names),
         tuple(traj.state_names),
-        meta={"dt": traj.dt})
+        meta={"dt": traj.dt}, rows=rows)
 
 
 def regime_trajectories(system, spec):
@@ -156,23 +208,22 @@ def build_regime(system, spec, lb=DESK_WINDOW, lf=DESK_WINDOW):
     """Generate trajectories under one excitation regime and window them all.
 
     Every trajectory has ``spec.steps`` steps, so the regime has
-    ``spec.n_traj * (spec.steps - lb - lf + 1)`` windows.  The inputs and
-    targets are allocated once, and each trajectory's windows are written
-    into their own rows, in trajectory order; only one trajectory's windows
-    exist besides the regime's arrays.
+    ``spec.n_traj * (spec.steps - lb - lf + 1)`` windows.  Each trajectory's
+    states and actions are written once, in trajectory order, into the
+    regime's state and action series, which :func:`window` cuts in runs of
+    ``spec.steps``: no window straddles two trajectories.
     """
-    out = None
+    states = actions = None
     for i, traj in enumerate(regime_trajectories(system, spec)):
-        part = window(traj, lb, lf)
-        if out is None:
-            out = WindowedDataset(
-                np.empty((spec.n_traj * part.n, part.inputs.shape[1])),
-                np.empty((spec.n_traj * part.n, part.targets.shape[1])),
-                lb, lf, part.input_names, part.target_names,
-                meta=dict(part.meta))
-        rows = slice(i * part.n, (i + 1) * part.n)
-        out.inputs[rows] = part.inputs
-        out.targets[rows] = part.targets
+        if states is None:
+            total = spec.n_traj * spec.steps
+            states = np.empty((total, traj.states.shape[1]))
+            actions = np.empty((total, traj.actions.shape[1]))
+        run = slice(i * spec.steps, (i + 1) * spec.steps)
+        states[run] = traj.states
+        actions[run] = traj.actions
+    out = window(Trajectory(states, actions, traj.dt, traj.state_names,
+                            traj.action_names), lb, lf, run_steps=spec.steps)
     out.meta.update({"system": system, "regime": asdict(spec),
                      "lb": lb, "lf": lf,
                      "target_convention": TARGET_CONVENTION})
@@ -219,13 +270,18 @@ def split(ds, fractions, rng):
     idx_train, idx_val = perm[:n_train], perm[n_train:]
 
     def take(idx):
-        return WindowedDataset(ds.inputs[idx], ds.targets[idx], ds.lb, ds.lf,
-                               ds.input_names, ds.target_names, dict(ds.meta))
+        # the same storage, fewer rows: no window is copied
+        return WindowedDataset(ds.input_storage, ds.target_storage, ds.lb,
+                               ds.lf, ds.input_names, ds.target_names,
+                               dict(ds.meta), rows=ds.rows[idx])
     return take(idx_train), take(idx_val)
 
 
 def fit_stats(train):
-    """Per-channel mean/std over every step of every training input window."""
+    """Per-channel mean/std over every step of every training input window.
+
+    The windows are gathered once, so a step that several windows share
+    counts once in each of them."""
     if train.n == 0:
         raise DomainError("cannot fit normalization stats on an empty dataset")
     view = train.inputs.reshape(train.n * train.lb, train.d_in)
@@ -240,13 +296,18 @@ def fit_stats(train):
 def normalize_apply(stats, *datasets):
     """Apply fitted stats to each dataset's inputs, in place; targets stay raw.
 
-    Each dataset's inputs are overwritten with ``(x - mean) / std``, one
-    subtraction and one division per element, so no copy of the inputs is
-    made.  The datasets must own their input arrays and hold distinct ones.
+    Each distinct input storage array is overwritten with
+    ``(x - mean) / std`` once, however many datasets and windows share it:
+    one subtraction and one division per element, and no copy.
     """
+    done = []
     for ds in datasets:
-        # a view of the inputs, never a copy that would be normalized instead
-        view = ds.inputs.reshape(ds.n * ds.lb, ds.d_in, copy=False)
+        storage = ds.input_storage
+        if any(storage is seen for seen in done):
+            continue
+        done.append(storage)
+        # a view of the storage, never a copy that would be normalized instead
+        view = storage.reshape(-1, ds.d_in, copy=False)
         view -= stats.mean
         view /= stats.std
 
@@ -376,12 +437,18 @@ def dataset_manifest(ds, stats):
     return doc
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not a number in strict JSON")
+
+
 def read_json(path):
     """Read a JSON artifact.  A file that does not parse, as a write cut
-    short leaves it, raises :class:`ConfigError` naming the file."""
+    short leaves it, or that holds ``NaN`` or ``Infinity``, which
+    :func:`write_json` never writes, raises :class:`ConfigError` naming the
+    file."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_refuse_constant)
         except ValueError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
 

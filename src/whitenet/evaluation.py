@@ -139,30 +139,33 @@ class EvalReport:
 
 
 def predict(model, ds):
-    """Eval-mode predictions for every row of ``ds``.  :meth:`Model.predict`
-    keeps no backward cache and runs in cache-sized row blocks, so the peak
-    memory is the predictions plus one block's activations."""
+    """Eval-mode predictions for every window of ``ds``.  The inputs are
+    gathered once; :meth:`Model.predict` keeps no backward cache and runs
+    in cache-sized row blocks, so the peak memory is the gathered inputs
+    and the predictions plus one block's activations."""
     return model.predict(ds.inputs)
 
 
 def evaluate(model, ds, lags=5, run_id="", dataset_id="", config_id=""):
     """Residual diagnostics of ``model`` on ``ds`` (deterministic, eval mode)."""
-    if model.head.spec.out_dim != ds.targets.shape[1]:
+    width = ds.lf * ds.d_out
+    if model.head.spec.out_dim != width:
         raise ShapeError(
             f"model head width {model.head.spec.out_dim} != target width "
-            f"{ds.targets.shape[1]}")
+            f"{width}")
     if ds.lf <= lags:
         raise DomainError(f"lookforward {ds.lf} must exceed lags {lags}")
     pred = predict(model, ds)
+    targets = ds.targets
     d = ds.d_out
     # (N, lf * d) step-major -> (d, N, lf): one block of windows per channel
     resid = np.ascontiguousarray(
-        (ds.targets - pred).reshape(ds.n, ds.lf, d).transpose(2, 0, 1))
+        (targets - pred).reshape(ds.n, ds.lf, d).transpose(2, 0, 1))
     ljb, acf = ljb_statistic(resid, LossConfig(lags=lags))
     rmse = np.array([math.sqrt(float(np.mean(rm * rm))) for rm in resid])
     std = np.array([float(np.std(rm)) for rm in resid])
     p_value = np.array([chi2_upper_tail(x, lags) for x in ljb])
-    mse_value, _ = mse(pred, ds.targets)
+    mse_value, _ = mse(pred, targets)
     return EvalReport(
         config_id=config_id, run_id=run_id, dataset_id=dataset_id,
         channels=ds.target_names, lags=lags, n_samples=ds.n, lf=ds.lf,

@@ -187,8 +187,7 @@ def dataset_loss(model, ds, loss_cfg, chunk=2048):
     """
     total = 0.0
     for start in range(0, ds.n, chunk):
-        xb = ds.inputs[start:start + chunk]
-        yb = ds.targets[start:start + chunk]
+        xb, yb = ds.batch(slice(start, start + chunk))
         pred = model.predict(xb)
         total += composite_value(pred, yb, loss_cfg,
                                  n_channels=ds.d_out) * xb.shape[0]
@@ -306,15 +305,15 @@ def fit_stack(models, train, val, cfgs, checkpoint_dirs=None):
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ConfigError("the fits of a stack may differ only in their seeds")
-    if train.inputs.shape[1] != val.inputs.shape[1] or \
-            train.targets.shape[1] != val.targets.shape[1]:
+    out_width = train.lf * train.d_out
+    if (train.lb * train.d_in, out_width) != (val.lb * val.d_in,
+                                              val.lf * val.d_out):
         raise ShapeError("train and val datasets disagree on widths")
     for model in models:
         head_width = model.head.spec.out_dim
-        if head_width != train.targets.shape[1]:
+        if head_width != out_width:
             raise ShapeError(
-                f"model head width {head_width} != target width "
-                f"{train.targets.shape[1]}")
+                f"model head width {head_width} != target width {out_width}")
     loss_cfg = cfg.loss_config()
     n = train.n
     batch = min(cfg.batch, n)
@@ -344,12 +343,13 @@ def fit_stack(models, train, val, cfgs, checkpoint_dirs=None):
         for b in range(n_batches):
             rows = per_member([p[b * batch:(b + 1) * batch] for p in perms])
             rngs = per_member([m.dropout_rng for m in active])
-            pred, cache = net.forward(train.inputs[rows], rng=rngs)
+            xb, yb = train.batch(rows)
+            pred, cache = net.forward(xb, rng=rngs)
             # a diverging fit overflows here; the non-finite loss is
             # reported below as DivergenceError, not as RuntimeWarnings
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, dloss = composite_loss(pred, train.targets[rows],
-                                             loss_cfg, n_channels=train.d_out)
+                loss, dloss = composite_loss(pred, yb, loss_cfg,
+                                             n_channels=train.d_out)
             ok = np.isfinite(loss)
             if ok.all():
                 step(cache, dloss)
@@ -399,11 +399,12 @@ def prepare_data(system, lb=DESK_WINDOW, lf=DESK_WINDOW, data_seed=0,
     and normalization depend only on ``data_seed``, so every run in a matrix
     sees the same data.
 
-    Memory stays close to what it returns.  Each stage frees its
-    temporaries before the next allocates: the interpolation regime is
-    freed once it is split, the stats are fit and train and val normalized
-    in place, and only then is the extrapolation regime built and
-    normalized in place with the same stats.
+    No window is copied.  Train and val are row indices over the
+    interpolation regime's series, and extrap over its own series, so the
+    three hold about a tenth of the bytes of their windows as matrices.
+    The stats are fit on the train inputs, gathered once; the shared series
+    is normalized in place, and only then is the extrapolation regime built
+    and normalized in place with the same stats.  That gather is the peak.
     """
     if regimes is None:
         interp_spec, extrap_spec = desk_regimes(system, data_seed)
@@ -486,13 +487,15 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=DESK_WINDOW,
     Datasets are built once per system and shared read-only across runs.
     Only the train and val sets and the manifests are kept: the
     extrapolation set is dropped before the first fit, since training never
-    reads it.  The seeds of each (system, arch, lambda) cell train ``jobs``
-    at a time as one stacked model (see :func:`fit_stack`); ``jobs=1`` fits
-    them one by one.  Each run's record and checkpoint are the same bits
-    either way.  A stack holds ``jobs`` copies of every activation, so
-    memory grows with ``jobs``; validation runs forward only, in 256-row
-    blocks, and adds their activations but no backward cache.  Failures
-    (divergence included) become error records; the matrix finishes.
+    reads it.  The sets are windows of the regime's series, and each batch
+    and validation chunk gathers its windows afresh.  The seeds of each
+    (system, arch, lambda) cell train ``jobs`` at a time as one stacked
+    model (see :func:`fit_stack`); ``jobs=1`` fits them one by one.  Each
+    run's record and checkpoint are the same bits either way.  A stack
+    holds ``jobs`` copies of every activation, so memory grows with
+    ``jobs``; validation runs forward only, in 256-row blocks, and adds
+    their activations but no backward cache.  Failures (divergence
+    included) become error records; the matrix finishes.
     Results come back in job order, so equal inputs give equal outputs, and
     with ``out_dir`` set every run leaves a manifest + checkpoint directory.
     """

@@ -430,6 +430,24 @@ def test_eval_truncated_json_exits_1_naming_the_file(tmp_path, capsys, fname):
         f"error: {path} is not valid JSON")
 
 
+def test_eval_nan_in_checkpoint_exits_1_and_writes_nothing(tmp_path, capsys):
+    # json reads NaN by default; eval then wrote the markdown report and
+    # failed on the JSON one, leaving a partial report set
+    assert _train(tmp_path, "--seed", "1", "--epochs", "1") == 0
+    path = tmp_path / "pendulum_dense_lam1_seed1" / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    first = next(iter(doc["parameters"].values()))
+    first[0][0] = float("nan")
+    path.write_text(json.dumps(doc))   # json writes the token NaN
+    capsys.readouterr()
+    out = tmp_path / "reports"
+    assert main(["eval", str(path.parent), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not valid JSON")
+    assert "checkpoint.json" in err
+    assert not out.exists()
+
+
 def test_eval_holds_one_systems_data_at_a_time(tmp_path, monkeypatch):
     for system in ("pendulum", "backlash"):
         assert main(["train", "--system", system, "--model", "dense",

@@ -1,7 +1,9 @@
 """The summary of tools/perf_pairs.py on canned perfbench results."""
 
 import importlib.util
+import json
 import os
+import subprocess
 
 import pytest
 
@@ -52,3 +54,22 @@ def test_a_single_pair_has_no_spread():
     (row,) = perf_pairs.summarize([(_result(2.0, 1.0), _result(1.0, 1.0))],
                                   METRICS[:1])
     assert row[2] == 0.0 and row[5] == 1
+
+
+@pytest.mark.parametrize("argv, seed", [([], "1"), (["--seed", "3"], "3")])
+def test_seed_reaches_every_perfbench_run(tmp_path, monkeypatch, capsys,
+                                          argv, seed):
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": METRICS}))
+    seeds = []
+
+    def run(cmd, cwd, **kwargs):
+        seeds.append(cmd[cmd.index("--seed") + 1])
+        return subprocess.CompletedProcess(
+            cmd, 0, stdout=json.dumps(_result(1.0, 1.0)) + "\n", stderr="")
+
+    monkeypatch.setattr(perf_pairs.subprocess, "run", run)
+    assert perf_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w",
+                            "--pairs", "2", *argv]) == 0
+    assert seeds == [seed] * 4
+    assert f"seed {seed}" in capsys.readouterr().out

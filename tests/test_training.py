@@ -16,6 +16,7 @@ from whitenet.datasets import (
     build_regime,
     dataset_manifest,
     desk_regimes,
+    normalize_apply,
     regime_trajectories,
     split,
 )
@@ -369,7 +370,7 @@ def test_adam_step_stacked_matches_members():
 @pytest.mark.parametrize("system", ["pendulum", "backlash", "double_pendulum"])
 def test_prepare_data_peak_stays_near_what_it_keeps(system):
     # the interp regime once split and copies made to normalize pushed the
-    # peak to 2.4x the datasets returned.  A first call also allocates what
+    # peak to 2.4x the windows returned.  A first call also allocates what
     # it keeps for later calls, and whether it came first depended on the
     # tests before this one, so a small call is made first.
     prepare_data(system, regimes=TINY_REGIMES)
@@ -381,13 +382,49 @@ def test_prepare_data_peak_stays_near_what_it_keeps(system):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    kept = sum(data[name].inputs.nbytes + data[name].targets.nbytes
-               for name in ("train", "val", "extrap"))
+    # the bytes of the windows the splits stand for, as (n, width) matrices
+    windowed = sum(ds.n * (ds.lb * ds.d_in + ds.lf * ds.d_out) * 8
+                   for ds in (data[name] for name in ("train", "val", "extrap")))
     # a regime windowed into one allocation, not its parts and then their
     # copy, brought pendulum from 1.46x to 1.27x; normalizing the splits
     # before the extrap regime is built brought all three systems from
-    # 1.25-1.30x to 1.11-1.13x
-    assert peak <= 1.2 * kept, (peak, kept)
+    # 1.25-1.30x to 1.11-1.13x; windows as views of each regime's series,
+    # not copies, to 0.54-0.64x, where fit_stats' gathered train inputs and
+    # their deviations are the peak
+    assert peak <= 0.75 * windowed, (peak, windowed)
+
+
+def test_prepare_data_splits_are_views_of_one_series():
+    data = prepare_data("pendulum", data_seed=1, regimes=TINY_REGIMES)
+    train, val, extrap = data["train"], data["val"], data["extrap"]
+    # a split that copied its windows would hold storage of its own
+    assert np.shares_memory(train.input_storage, val.input_storage)
+    assert np.shares_memory(train.target_storage, val.target_storage)
+    for ds in (train, val):
+        assert not np.shares_memory(ds.input_storage, extrap.input_storage)
+        assert not np.shares_memory(ds.target_storage, extrap.target_storage)
+    # the series hold each step once, fewer values than the windows
+    assert train.input_storage.size < (train.n + val.n) * train.lb * train.d_in
+
+
+def test_a_stacked_batch_is_the_rows_of_the_plain_windows():
+    sets, _, _ = _prepare_data_reference("pendulum", 0)
+    train = prepare_data("pendulum")["train"]
+    rows = np.stack([RngState(s).permutation(train.n)[:128] for s in (1, 2)])
+    inputs, targets = train.batch(rows)
+    assert inputs.shape == (2, 128, train.lb * train.d_in)
+    assert _same_bits(inputs, sets["train"].inputs[rows])
+    assert _same_bits(targets, sets["train"].targets[rows])
+
+
+def test_storage_that_splits_share_is_normalized_once():
+    regime = build_regime("pendulum", TINY_REGIMES[0])
+    raw = regime.input_storage.copy()
+    train, val = split(regime, (0.5, 0.5), RngState(3))
+    stats = NormalizationStats([1.0, -2.0, 0.5, 3.0], [2.0, 4.0, 0.25, 8.0])
+    normalize_apply(stats, train, val, train)
+    assert _same_bits(train.input_storage, (raw - stats.mean) / stats.std)
+    assert val.input_storage is train.input_storage
 
 
 def test_prepare_data_normalizes_extrap_with_the_train_stats():
@@ -434,9 +471,11 @@ def _prepare_data_reference(system, data_seed):
     view = train.inputs.reshape(-1, train.d_in)
     stats = NormalizationStats(view.mean(axis=0),
                                np.maximum(view.std(axis=0), 1e-8))
-    for ds in sets.values():
-        ds.inputs = ((ds.inputs.reshape(-1, ds.d_in) - stats.mean)
-                     / stats.std).reshape(ds.n, -1)
+    for name, ds in sets.items():
+        normed = ((ds.inputs.reshape(-1, ds.d_in) - stats.mean)
+                  / stats.std).reshape(ds.n, -1)
+        sets[name] = WindowedDataset(normed, ds.targets, ds.lb, ds.lf,
+                                     ds.input_names, ds.target_names, ds.meta)
     manifests = {name: dataset_manifest(ds, stats)
                  for name, ds in sets.items()}
     return sets, stats, manifests

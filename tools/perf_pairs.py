@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Interleaved perfbench pairs of two source trees, summarized.
 
-    tools/perf_pairs.py PARENT_TREE CHANGE_TREE --workload W --pairs N [--seconds S]
+    tools/perf_pairs.py PARENT_TREE CHANGE_TREE --workload W --pairs N
+        [--seconds S] [--seed K]
 
-Each pair runs ``perfbench/run.py --workload W --seed 1 --seconds S
---trace 0`` once in each tree, one after the other; the side that runs
+Each pair runs ``perfbench/run.py --workload W --seed K --seconds S
+--trace 0`` once in each tree (K defaults to 1), one after the other; the side that runs
 first alternates from pair to pair, so drift in machine speed hits both
 alike.  For every end-to-end metric of the change tree's BENCHMARK.json it
 prints the parent's median and quartile spread (as a share of the median),
@@ -20,11 +21,11 @@ import subprocess
 import sys
 
 
-def run_once(tree, workload, seconds):
+def run_once(tree, workload, seconds, seed):
     """One ``--trace 0`` run in ``tree``; returns its result object."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "1", "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -84,6 +85,8 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=25)
+    # a claim is checked again on a seed the change was not written against
+    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be >= 1, got {args.pairs}")
@@ -96,7 +99,7 @@ def main(argv=None):
         for side in order:
             try:
                 sides[side] = run_once(getattr(args, side), args.workload,
-                                       args.seconds)
+                                       args.seconds, args.seed)
             except (RuntimeError, ValueError) as exc:
                 print(f"pair {i + 1}, {side}: {exc}", file=sys.stderr)
                 return 1
@@ -106,7 +109,8 @@ def main(argv=None):
             f" -> {sides['change']['metrics'][m['name']]['value']:.6g}"
             for m in metrics)
         print(f"pair {i + 1} ({order[0]} first): {values}", flush=True)
-    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs")
+    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
+          f"seed {args.seed}")
     print(format_rows(summarize(pairs, metrics), args.pairs))
     if not all_correct(pairs):
         print("a run was not correct", file=sys.stderr)
