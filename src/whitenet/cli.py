@@ -214,21 +214,6 @@ def cmd_train(args):
         lam = cfg["lam"] = 0.0
     else:
         lam = cfg["lam"] = float(cfg["lam"])
-    seeds = cfg["seeds"]
-    if not seeds:
-        raise UsageError("no seeds to train: the seed list is empty")
-    negative = [s for s in seeds if s < 0]
-    if negative:
-        # a seed keys a random stream, and keys are non-negative
-        raise UsageError(
-            f"seeds must be >= 0, got {', '.join(map(str, negative))}")
-    if cfg["data_seed"] < 0:
-        raise UsageError(f"--data-seed must be >= 0, got {cfg['data_seed']}")
-    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-    if repeated:
-        # two runs of one seed would write the same run directory
-        raise UsageError(
-            f"seed(s) {', '.join(map(str, repeated))} given more than once")
     jobs = cfg["jobs"]
     if jobs < 1:
         raise UsageError(f"--jobs must be an integer >= 1, got {jobs!r}")
@@ -251,12 +236,19 @@ def cmd_train(args):
     except ConfigError as exc:
         raise UsageError(str(exc))
     out_dir = _out_root(cfg["out"], "runs")
-    os.makedirs(out_dir, exist_ok=True)
     start = time.perf_counter()
-    records = run_matrix(
-        systems=[cfg["system"]], archs=[cfg["arch"]], lams=[lam], seeds=seeds,
-        cfg_base=base, lb=cfg["lb"], lf=cfg["lf"], data_seed=cfg["data_seed"],
-        out_dir=out_dir, jobs=jobs)
+    try:
+        records = run_matrix(
+            systems=[cfg["system"]], archs=[cfg["arch"]], lams=[lam],
+            seeds=cfg["seeds"], cfg_base=base, lb=cfg["lb"], lf=cfg["lf"],
+            data_seed=cfg["data_seed"], out_dir=out_dir, jobs=jobs)
+    except ConfigError as exc:
+        # run_matrix refuses its arguments before it makes anything; a
+        # message that opens with an argument's name names the flag instead
+        name, _, rest = str(exc).partition(" ")
+        if name in _MATRIX_PARAMS:
+            name = "--" + name.replace("_", "-")
+        raise UsageError(f"{name} {rest}")
     elapsed = time.perf_counter() - start
     manifest = dict(cfg, command="train")
     manifest.pop("out")   # self-referential; keeps artifacts portable
@@ -291,15 +283,15 @@ def _data_key(config):
     return (config["system"], config["lb"], config["lf"], config["data_seed"])
 
 
-def _eval_one_dir(run_dir, record, data_cache, lags_override):
-    """Reports (interp, extrap) for one run directory and its ``record``.
+def _eval_one_dir(run_dir, record, model, data_cache, lags_override):
+    """Reports (interp, extrap) for one run directory, its ``record`` and
+    its checkpoint's ``model``.
 
     ``data_cache`` maps a data key to the (interp, extrap) datasets, built
     here on the key's first run.  The train split is never kept: eval does
     not read it.
     """
     config = record["config"]
-    model, _ = load_checkpoint(os.path.join(run_dir, CHECKPOINT_FILE))
     key = _data_key(config)
     if key not in data_cache:
         data = prepare_data(config["system"], lb=config["lb"],
@@ -335,8 +327,9 @@ def cmd_eval(args):
                 f"{run_dir} and {seen[real]} are the same run directory")
         seen[real] = run_dir
     records = [load_run(run_dir) for run_dir in args.run_dirs]
-    # every run dir is checked before any is evaluated, so a bad one
-    # leaves no reports behind
+    # every run dir is checked, and its checkpoint loaded, before any is
+    # evaluated, so a bad one leaves no reports behind
+    models = []
     for run_dir, record in zip(args.run_dirs, records):
         lf = record["config"]["lf"]
         if args.lags is not None and args.lags >= lf:
@@ -348,13 +341,15 @@ def cmd_eval(args):
         ckpt_path = os.path.join(run_dir, CHECKPOINT_FILE)
         if not os.path.exists(ckpt_path):
             raise StateError(f"missing checkpoint {ckpt_path}")
+        models.append(load_checkpoint(ckpt_path)[0])
     # each data key's datasets are freed after the last run dir that reads
     # them, so run dirs grouped by system hold one system's data at a time
     keys = [_data_key(record["config"]) for record in records]
     data_cache = {}
     by_config = {}
     for i, run_dir in enumerate(args.run_dirs):
-        reports = _eval_one_dir(run_dir, records[i], data_cache, args.lags)
+        reports = _eval_one_dir(run_dir, records[i], models[i], data_cache,
+                                args.lags)
         if keys[i] not in keys[i + 1:]:
             del data_cache[keys[i]]
         out_dir = _out_root(args.out, run_dir)

@@ -31,7 +31,7 @@ Inner products here are plain BLAS-backed numpy matmuls, over whole
 batches and, in a stacked model, every member at once.
 """
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -101,11 +101,31 @@ def spec_to_dict(spec):
     return dict(spec.__dict__)
 
 
+def _has_type(value, kind):
+    # a JSON number without a fraction reads as an int, and fits a float
+    allowed = (int, float) if kind is float else kind
+    return isinstance(value, allowed) and not isinstance(value, bool)
+
+
 def spec_from_dict(d):
+    """The layer spec ``d`` describes.  A missing, unknown or mistyped key
+    raises :class:`ConfigError` naming it."""
     d = dict(d)
-    kind = d.pop("kind")
+    kind = d.pop("kind", None)
     if kind not in _SPEC_KINDS:
         raise ConfigError(f"unknown layer kind {kind!r}")
+    spec_fields = {f.name: f for f in fields(_SPEC_KINDS[kind])
+                   if f.name != "kind"}
+    unknown = sorted(set(d) - set(spec_fields))
+    if unknown:
+        raise ConfigError(f"unknown {kind} layer key {unknown[0]!r}")
+    for key, field in spec_fields.items():
+        if key not in d:
+            if field.default is MISSING:
+                raise ConfigError(f"{kind} layer is missing key {key!r}")
+        elif not _has_type(d[key], field.type):
+            raise ConfigError(f"{kind} layer key {key!r} must be "
+                              f"{field.type.__name__}, got {d[key]!r}")
     return _SPEC_KINDS[kind](**d)
 
 
@@ -592,18 +612,50 @@ def save_checkpoint(model, path, seed=None, epoch=0, best_val_loss=None):
 
 
 def load_checkpoint(path):
-    """Rebuild the model from a checkpoint file; returns (model, doc)."""
+    """Rebuild the model from a checkpoint file; returns (model, doc).
+
+    Contents that do not describe a model (a missing, unknown or mistyped
+    key, or a parameter that is not a numeric array) raise
+    :class:`ConfigError` naming the file and the key; a parameter of the
+    wrong shape raises :class:`ShapeError`.
+    """
     doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ConfigError(
-            f"unsupported checkpoint format_version {doc.get('format_version')!r}")
-    model = Model([spec_from_dict(d) for d in doc["layer_specs"]], rng=None,
-                  seq_shape=doc.get("seq_shape"))
+            f"{path}: unsupported checkpoint format_version "
+            f"{doc.get('format_version')!r}")
+    specs = doc.get("layer_specs")
+    if not isinstance(specs, list) or not all(isinstance(d, dict)
+                                              for d in specs):
+        raise ConfigError(f"{path}: layer_specs must be a list of objects, "
+                          f"got {specs!r}")
+    seq_shape = doc.get("seq_shape")
+    if seq_shape is not None and not (
+            isinstance(seq_shape, list) and len(seq_shape) == 2
+            and all(_has_type(v, int) for v in seq_shape)):
+        raise ConfigError(f"{path}: seq_shape must be null or two integers, "
+                          f"got {seq_shape!r}")
+    try:
+        model = Model([spec_from_dict(d) for d in specs], rng=None,
+                      seq_shape=seq_shape)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: layer_specs: {exc}") from None
+    params = doc.get("parameters")
+    if not isinstance(params, dict):
+        raise ConfigError(f"{path}: parameters must be an object")
     for p in model.params:
-        stored = np.asarray(doc["parameters"][p.name], dtype=np.float64)
+        if p.name not in params:
+            raise ConfigError(f"{path}: parameters has no {p.name!r}")
+        try:
+            stored = np.asarray(params[p.name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: parameter {p.name!r} is not a numeric "
+                              f"array: {exc}") from None
         if stored.shape != p.value.shape:
             raise ShapeError(
-                f"checkpoint parameter {p.name} has shape {stored.shape}, "
+                f"{path}: parameter {p.name!r} has shape {stored.shape}, "
                 f"model expects {p.value.shape}")
         p.value[...] = stored
     return model, doc

@@ -498,9 +498,28 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=DESK_WINDOW,
     included) become error records; the matrix finishes.
     Results come back in job order, so equal inputs give equal outputs, and
     with ``out_dir`` set every run leaves a manifest + checkpoint directory.
+    An empty, negative or repeated seed, a negative ``data_seed`` or
+    ``jobs`` below 1 raises :class:`ConfigError` before any data or
+    directory is made.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if not seeds:
+        raise ConfigError("no seeds to train: the seed list is empty")
+    negative = [s for s in seeds if s < 0]
+    if negative:
+        # a seed keys a random stream, and keys are non-negative
+        raise ConfigError(
+            f"seeds must be >= 0, got {', '.join(map(str, negative))}")
+    if data_seed < 0:
+        raise ConfigError(f"data_seed must be >= 0, got {data_seed}")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        # two runs of one seed would write the same run directory
+        raise ConfigError(
+            f"seed(s) {', '.join(map(str, repeated))} given more than once")
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     cfg_base = TrainConfig() if cfg_base is None else cfg_base
     data_by_system = {}
     for system in systems:

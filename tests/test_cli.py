@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import re
+import shutil
 import weakref
 
 import numpy as np
@@ -445,6 +446,55 @@ def test_eval_nan_in_checkpoint_exits_1_and_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path} is not valid JSON")
     assert "checkpoint.json" in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def one_epoch_run(tmp_path_factory):
+    """A one-epoch pendulum dense run dir, for tests that spoil a copy."""
+    out = tmp_path_factory.mktemp("runs")
+    assert _train(out, "--seed", "1", "--epochs", "1") == 0
+    return out / "pendulum_dense_lam1_seed1"
+
+
+def _drop_first_weight(doc):
+    del doc["parameters"]["layer1.W"]
+
+
+def _shorten_first_row(doc):
+    doc["parameters"]["layer1.W"][0].pop()
+
+
+def _drop_layer_specs(doc):
+    del doc["layer_specs"]
+
+
+def _add_spec_key(doc):
+    doc["layer_specs"][0]["width"] = 3
+
+
+@pytest.mark.parametrize("spoil, key", [
+    (_drop_first_weight, "layer1.W"),     # was a KeyError traceback
+    (_shorten_first_row, "layer1.W"),     # numpy's "inhomogeneous shape"
+    (_drop_layer_specs, "layer_specs"),   # a KeyError traceback
+    (_add_spec_key, "width"),             # a TypeError traceback
+])
+def test_eval_spoiled_checkpoint_exits_1_naming_file_and_key(
+        tmp_path, capsys, one_epoch_run, spoil, key):
+    # the spoiled run dir comes after a good one, whose reports it used to
+    # leave behind
+    good, run_dir = tmp_path / "good", tmp_path / "spoiled"
+    shutil.copytree(one_epoch_run, good)
+    shutil.copytree(one_epoch_run, run_dir)
+    path = run_dir / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    spoil(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "reports"
+    assert main(["eval", str(good), str(run_dir), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and key in err
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ from conftest import fd_grad, rel_err
 from whitenet.errors import DomainError, ShapeError
 from whitenet.losses import (
     LossConfig,
+    _row_sums,
     composite_loss,
     composite_value,
     ljb_loss,
@@ -89,6 +90,148 @@ def _ljb2d_reference(img, lags, epsilon):
         for j in range(w):
             grad[i, j] -= 4.0 * loss * img[i, j] / s
     return loss, grad
+
+
+def _rowmajor_kernel(r, lags, epsilon, batch=None):
+    """Reference: the kernel as it was before it went time-major, one
+    ``np.sum(..., axis=1)`` per lag over the row-major residual ``r``,
+    ``(rows, n)``; returns ``(stat, rho, grad)`` with ``grad`` ``(rows, n)``.
+    """
+    rows, n = r.shape
+    coef = float(n * (n + 2))
+    s = np.sum(r * r, axis=1) + epsilon
+    c = np.empty((lags, rows))
+    for k in range(1, lags + 1):
+        np.sum(r[:, k:] * r[:, :n - k], axis=1, out=c[k - 1])
+    rho = c / s
+    n_minus_k = np.arange(n - 1.0, n - lags - 1.0, -1.0)[:, None]
+    stat = np.cumsum(coef * rho * rho / n_minus_k, axis=0)[-1]
+    if batch is None:
+        return stat, rho, None
+    w = (2.0 * coef) * rho / (n_minus_k * s)
+    rt = np.ascontiguousarray(r.T)
+    grad = np.zeros((n, rows))
+    for k in range(1, lags + 1):
+        grad[k:] += w[k - 1] * rt[:n - k]
+        grad[:n - k] += w[k - 1] * rt[k:]
+    grad -= (4.0 * stat / s) * rt
+    grad /= batch
+    return stat, rho, grad.T
+
+
+def _rowmajor_statistic(r, cfg):
+    *lead, b, n = r.shape
+    stat, rho, _ = _rowmajor_kernel(np.ascontiguousarray(r).reshape(-1, n),
+                                    cfg.lags, cfg.epsilon)
+    rho = np.moveaxis(rho.reshape(cfg.lags, *lead, b).mean(axis=-1), 0, -1)
+    stat = stat.reshape(*lead, b).mean(axis=-1)
+    return (float(stat) if not lead else stat), rho
+
+
+def _rowmajor_loss(r, cfg):
+    *lead, b, n = r.shape
+    stat, _, grad = _rowmajor_kernel(np.ascontiguousarray(r).reshape(-1, n),
+                                     cfg.lags, cfg.epsilon, batch=b)
+    stat = stat.reshape(*lead, b).mean(axis=-1)
+    return (float(stat) if not lead else stat), grad.reshape(r.shape)
+
+
+def _rowmajor_composite(pred, target, cfg, d, with_grad):
+    """Reference composite loss: the residual channel-major, one row per
+    (member, channel, window), through the row-major kernel."""
+    loss, grad = mse(pred, target)
+    if cfg.lam == 0.0:
+        return loss, grad
+    diff = pred - target
+    *lead, b, width = diff.shape
+    lf = width // d
+    resid = np.ascontiguousarray(np.moveaxis(
+        diff.reshape(*lead, b, lf, d), -1, -3))          # (..., d, b, lf)
+    stat, _, g = _rowmajor_kernel(resid.reshape(-1, lf), cfg.lags,
+                                  cfg.epsilon, b if with_grad else None)
+    scale = cfg.lam / d
+    terms = scale * stat.reshape(resid.shape[:-1]).mean(axis=-1)
+    for ch in range(d):
+        loss = loss + terms[..., ch]
+    if with_grad:
+        g = np.moveaxis((scale * g).reshape(resid.shape), -3, -1)
+        grad = grad + g.reshape(grad.shape)
+    return (float(loss) if not lead else loss), grad
+
+
+def _grid_cases(n_cases, seed):
+    """Random shapes over the kernel's range: 1-4 channels, 1-11 lags,
+    windows up to 59 steps (and a few of 129-299, past numpy's 128-term
+    block), batches of 1-1000, no member axis or stacks of 1, 2 and 5,
+    lambda 0, 0.02 and 1, with zeroed entries and exact fits."""
+    rng = np.random.default_rng(seed)
+    for case in range(n_cases):
+        d = int(rng.integers(1, 5))
+        lags = int(rng.integers(1, 12))
+        if case < 4:
+            lf, b = int(rng.integers(129, 300)), int(rng.integers(1, 9))
+        else:
+            lf = int(rng.integers(lags + 1, 60))
+            b = int(rng.choice([1, 2, 5, 17, 128, 1000]))
+        lead = [(), (1,), (2,), (5,)][int(rng.integers(4))]
+        if b * lf * d * max(lead, default=1) > 400_000:
+            b = 17
+        cfg = LossConfig(lam=float(rng.choice([0.0, 0.02, 1.0])), lags=lags,
+                         epsilon=float(rng.choice([1e-8, 1e-300])))
+        pred = rng.normal(size=lead + (b, lf * d)) * 10.0 ** rng.uniform(-3, 3)
+        target = rng.normal(size=pred.shape[-2:])
+        kind = case % 5
+        if kind == 1:
+            target = pred[(0,) * len(lead)].copy()      # an exact fit
+        elif kind == 2:
+            pred[rng.random(pred.shape) < 0.3] = 0.0
+            target = np.zeros(target.shape)
+        elif kind == 3:
+            target = rng.normal(size=pred.shape)         # one per member
+        yield cfg, d, pred, target
+
+
+def test_row_sums_replay_numpy_sum_bit_for_bit():
+    # every sum over time in the kernel replays np.sum(axis=1); a numpy that
+    # sums in another order fails here instead of moving the loss's bits.
+    # A NaN's payload and sign follow which operand numpy's compiled loop
+    # puts first, which no artifact can hold (strict JSON refuses NaN), so
+    # every NaN is compared as one value.
+    rng = np.random.default_rng(40)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
+    for m in list(range(1, 41)) + [129, 136, 255, 509]:
+        x = rng.normal(size=(300, m)) * 10.0 ** rng.integers(-5, 5, (300, 1))
+        spots = rng.random(x.shape) < 0.05
+        x[spots] = rng.choice(specials, size=int(spots.sum()))
+        x[:20] = -0.0
+        x[20:40] = rng.choice([0.0, -0.0], size=(20, m))
+        x[40:60] = rng.choice(specials, size=(20, m))
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.sum(x, axis=1)
+            got = _row_sums(np.ascontiguousarray(x.T))
+        assert not np.signbit(want[:40]).any()
+        want, got = (np.where(np.isnan(a), np.nan, a) for a in (want, got))
+        assert np.array_equal(want.view(np.uint64), got.view(np.uint64)), m
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_time_major_kernel_matches_the_row_major_one_bit_for_bit(seed):
+    for cfg, d, pred, target in _grid_cases(60, seed):
+        for with_grad in (True, False):
+            want = _rowmajor_composite(pred, target, cfg, d, with_grad)
+            if with_grad:
+                got = composite_loss(pred, target, cfg, n_channels=d)
+                assert np.array_equal(_bits(got[1]), _bits(want[1]))
+            else:
+                got = (composite_value(pred, target, cfg, n_channels=d),)
+            assert _bits(got[0]).tobytes() == _bits(want[0]).tobytes()
+        r = np.broadcast_to(pred - target, pred.shape)[..., :pred.shape[-1] // d]
+        for call, ref in ((ljb_statistic, _rowmajor_statistic),
+                          (ljb_loss, _rowmajor_loss)):
+            got, want = call(r, cfg), ref(r, cfg)
+            assert type(got[0]) is type(want[0])
+            assert _bits(got[0]).tobytes() == _bits(want[0]).tobytes()
+            assert np.array_equal(_bits(got[1]), _bits(want[1]))
 
 
 def test_loss_config_validation():

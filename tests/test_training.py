@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tracemalloc
 import weakref
 from dataclasses import asdict, replace
@@ -251,6 +252,27 @@ def test_run_matrix_counts_and_determinism(tmp_path):
     for a, b in zip(records, again):
         assert a.val_losses == b.val_losses
         assert a.config["arch"] == b.config["arch"]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    # returned two records and wrote one run dir twice
+    ({"seeds": [1, 1]}, "seed(s) 1 given more than once"),
+    # numpy's bare ValueError from the random stream
+    ({"seeds": [1], "data_seed": -1}, "data_seed must be >= 0, got -1"),
+    ({"seeds": []}, "the seed list is empty"),
+    ({"seeds": [2, -1]}, "seeds must be >= 0, got -1"),
+])
+def test_run_matrix_refuses_bad_seeds_before_any_data(tmp_path, monkeypatch,
+                                                      kwargs, message):
+    def prepare_data(*args, **kw):
+        raise AssertionError("data was built")
+
+    monkeypatch.setattr(training, "prepare_data", prepare_data)
+    out = tmp_path / "runs"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_matrix(systems=["pendulum"], archs=["dense"], lams=[0.0],
+                   out_dir=str(out), **kwargs)
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

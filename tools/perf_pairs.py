@@ -8,8 +8,17 @@ Each pair runs ``perfbench/run.py --workload W --seed K --seconds S
 --trace 0`` once in each tree (K defaults to 1), one after the other; the side that runs
 first alternates from pair to pair, so drift in machine speed hits both
 alike.  For every end-to-end metric of the change tree's BENCHMARK.json it
-prints the parent's median and quartile spread (as a share of the median),
-the change's median, their ratio and the number of pairs the change won.
+prints each side's median and quartile spread (as a share of the median),
+their ratio, the number of pairs the change won and a verdict:
+
+- ``gain``: the change won at least nine tenths of the pairs (ties count
+  for neither side), and the medians differ by more than the distance
+  between the parent's quartiles;
+- ``worse``: the change's median is worse than the parent's by more than
+  the metric's ``bound``, as a share of the parent's median;
+- ``unresolved``: anything else.  Within the bound but not a gain is not
+  "unchanged": the runs could not tell.
+
 It exits 1 if any run fails or is not ``correct``.
 """
 
@@ -42,13 +51,24 @@ def quartile_spread(values):
     return (high - low) / statistics.median(values)
 
 
+def verdict(p_med, p_spread, c_med, wins, n_pairs, better, bound):
+    """``gain``, ``worse`` or ``unresolved`` (see the module docstring)."""
+    # the change's improvement, in the metric's own direction
+    gain = (p_med - c_med) if better == "lower" else (c_med - p_med)
+    if wins >= 0.9 * n_pairs and gain > p_spread * p_med:
+        return "gain"
+    if -gain > bound * p_med:
+        return "worse"
+    return "unresolved"
+
+
 def summarize(pairs, metrics):
     """One row per metric over ``pairs`` of (parent, change) results.
 
     ``metrics`` holds BENCHMARK.json's end-to-end entries.  A row is
-    ``(name, parent_median, parent_spread, change_median, ratio, wins)``,
-    with ``ratio`` = change / parent and ``wins`` the pairs in which the
-    change is better in the metric's own direction.
+    ``(name, parent_median, parent_spread, change_median, change_spread,
+    ratio, wins, verdict)``, with ``ratio`` = change / parent and ``wins``
+    the pairs in which the change is better in the metric's own direction.
     """
     rows = []
     for metric in metrics:
@@ -60,17 +80,22 @@ def summarize(pairs, metrics):
         else:
             wins = sum(c > p for p, c in zip(parent, change))
         p_med, c_med = statistics.median(parent), statistics.median(change)
-        rows.append((name, p_med, quartile_spread(parent), c_med,
-                     c_med / p_med, wins))
+        p_spread = quartile_spread(parent)
+        rows.append((name, p_med, p_spread, c_med, quartile_spread(change),
+                     c_med / p_med, wins,
+                     verdict(p_med, p_spread, c_med, wins, len(pairs),
+                             metric["better"], metric["bound"])))
     return rows
 
 
 def format_rows(rows, n_pairs):
     out = [f"{'metric':<14s} {'parent':>12s} {'spread':>7s} "
-           f"{'change':>12s} {'ratio':>7s} {'wins':>6s}"]
-    for name, p_med, spread, c_med, ratio, wins in rows:
-        out.append(f"{name:<14s} {p_med:>12.6g} {spread:>6.1%} "
-                   f"{c_med:>12.6g} {ratio:>7.3f} {wins:>3d}/{n_pairs}")
+           f"{'change':>12s} {'spread':>7s} {'ratio':>7s} {'wins':>6s}  "
+           f"verdict"]
+    for name, p_med, p_spread, c_med, c_spread, ratio, wins, what in rows:
+        out.append(f"{name:<14s} {p_med:>12.6g} {p_spread:>6.1%} "
+                   f"{c_med:>12.6g} {c_spread:>6.1%} {ratio:>7.3f} "
+                   f"{wins:>3d}/{n_pairs}  {what}")
     return "\n".join(out)
 
 
