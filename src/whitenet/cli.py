@@ -17,6 +17,7 @@ override built-in defaults.  The default output root comes from the
 import argparse
 import inspect
 import os
+import re
 import sys
 import time
 
@@ -26,7 +27,6 @@ from . import gradcheck as gradcheck_mod
 from .datasets import (
     RegimeSpec,
     csv_export,
-    desk_regimes,
     read_json,
     regime_trajectories,
     write_json,
@@ -51,7 +51,6 @@ from .training import (
     run_matrix,
 )
 
-_ARCHS = ("dense", "rnn", "lstm")
 _LOSSES = ("mse", "mse+ljb")
 
 
@@ -134,7 +133,7 @@ _TRAIN_FIELDS = {
 
 # lb, lf, data_seed and jobs are run_matrix arguments of the same name, and
 # their defaults are run_matrix's own.
-_MATRIX_PARAMS = inspect.signature(run_matrix).parameters
+_MATRIX_FLAGS = ("lb", "lf", "data_seed", "jobs")
 
 _TRAIN_DEFAULTS = {
     "system": "pendulum",
@@ -142,10 +141,18 @@ _TRAIN_DEFAULTS = {
     "loss": "mse+ljb",
     "seeds": [0],
     "out": None,
-    **{flag: _MATRIX_PARAMS[flag].default
-       for flag in ("lb", "lf", "data_seed", "jobs")},
+    **{flag: inspect.signature(run_matrix).parameters[flag].default
+       for flag in _MATRIX_FLAGS},
     **{flag: getattr(TrainConfig, name) for flag, name in _TRAIN_FIELDS.items()},
 }
+
+
+# The flag of each TrainConfig field and run_matrix argument that one sets;
+# their ConfigErrors name the flag instead
+_FLAG_OF = {name: "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+            for key, name in [*_TRAIN_FIELDS.items(),
+                              *((k, k) for k in (*_MATRIX_FLAGS, "seeds"))]}
+_FLAG_WORD = re.compile(r"\b(%s)\b" % "|".join(_FLAG_OF))
 
 
 def _is_int(value):
@@ -199,12 +206,6 @@ def _merge_train_config(args):
 
 def cmd_train(args):
     cfg = _merge_train_config(args)
-    if cfg["system"] not in SYSTEMS:
-        raise UsageError(
-            f"unknown system {cfg['system']!r}; expected one of {', '.join(SYSTEMS)}")
-    if cfg["arch"] not in _ARCHS:
-        raise UsageError(
-            f"unknown model {cfg['arch']!r}; expected one of {', '.join(_ARCHS)}")
     if cfg["loss"] not in _LOSSES:
         raise UsageError(
             f"unknown loss {cfg['loss']!r}; expected one of {', '.join(_LOSSES)}")
@@ -214,41 +215,18 @@ def cmd_train(args):
         lam = cfg["lam"] = 0.0
     else:
         lam = cfg["lam"] = float(cfg["lam"])
-    jobs = cfg["jobs"]
-    if jobs < 1:
-        raise UsageError(f"--jobs must be an integer >= 1, got {jobs!r}")
-    for key in ("lb", "lf", "lags"):
-        if cfg[key] < 1:
-            raise UsageError(f"--{key} must be >= 1, got {cfg[key]}")
-    if cfg["lf"] <= cfg["lags"]:
-        # eval reports Ljung-Box Q at the run's lags, whatever the loss
-        raise UsageError(
-            f"--lf {cfg['lf']} must exceed --lags {cfg['lags']}: the "
-            f"whiteness statistic needs more residual steps than lags")
-    steps = min(spec.steps for spec in desk_regimes(cfg["system"]))
-    if cfg["lb"] + cfg["lf"] > steps:
-        raise UsageError(
-            f"--lb + --lf = {cfg['lb'] + cfg['lf']} exceeds the {steps} "
-            f"steps of a {cfg['system']} trajectory")
-    try:
-        base = TrainConfig(**{name: cfg[flag]
-                              for flag, name in _TRAIN_FIELDS.items()})
-    except ConfigError as exc:
-        raise UsageError(str(exc))
     out_dir = _out_root(cfg["out"], "runs")
     start = time.perf_counter()
     try:
         records = run_matrix(
             systems=[cfg["system"]], archs=[cfg["arch"]], lams=[lam],
-            seeds=cfg["seeds"], cfg_base=base, lb=cfg["lb"], lf=cfg["lf"],
-            data_seed=cfg["data_seed"], out_dir=out_dir, jobs=jobs)
+            seeds=cfg["seeds"], cfg_base=TrainConfig(**{
+                name: cfg[flag] for flag, name in _TRAIN_FIELDS.items()}),
+            lb=cfg["lb"], lf=cfg["lf"], data_seed=cfg["data_seed"],
+            out_dir=out_dir, jobs=cfg["jobs"])
     except ConfigError as exc:
-        # run_matrix refuses its arguments before it makes anything; a
-        # message that opens with an argument's name names the flag instead
-        name, _, rest = str(exc).partition(" ")
-        if name in _MATRIX_PARAMS:
-            name = "--" + name.replace("_", "-")
-        raise UsageError(f"{name} {rest}")
+        # both refuse their arguments before anything is made
+        raise UsageError(_FLAG_WORD.sub(lambda m: _FLAG_OF[m[0]], str(exc)))
     elapsed = time.perf_counter() - start
     manifest = dict(cfg, command="train")
     manifest.pop("out")   # self-referential; keeps artifacts portable
@@ -458,8 +436,8 @@ def build_parser():
                         f"(default {_TRAIN_DEFAULTS['jobs']}); memory grows "
                         "with N: a stack holds N copies of every activation")
     for key, name in _TRAIN_FIELDS.items():
-        flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
-        p.add_argument(flag, dest=key, type=type(getattr(TrainConfig, name)))
+        p.add_argument(_FLAG_OF[name], dest=key,
+                       type=type(getattr(TrainConfig, name)))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train)
 

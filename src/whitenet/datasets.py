@@ -256,7 +256,8 @@ def desk_regimes(system, data_seed=0):
         extrap = RegimeSpec(amplitude=1.0, hold=1, n_traj=10, steps=519,
                             noise_sigma=0.01, seed=data_seed + 5000)
     else:
-        raise ConfigError(f"unknown system {system!r}")
+        raise ConfigError(f"unknown system {system!r}; expected one of "
+                          f"{', '.join(simulators.SYSTEMS)}")
     return interp, extrap
 
 

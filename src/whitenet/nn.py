@@ -571,6 +571,9 @@ def stack_models(models):
     return stacked
 
 
+ARCHS = ("dense", "rnn", "lstm")   # the architectures build_specs knows
+
+
 def build_specs(arch, lb, d_in, lf, d_out, hidden=None, dropout=0.0):
     """Standard stacks used by the CLI and experiments.
 

@@ -36,7 +36,7 @@ from .datasets import (
 )
 from .errors import ConfigError, DivergenceError, ShapeError
 from .losses import LossConfig, composite_loss, composite_value
-from .nn import Model, build_specs, save_checkpoint, stack_models
+from .nn import ARCHS, Model, build_specs, save_checkpoint, stack_models
 from .numerics import RngState
 
 # child-stream tags, so the independent consumers never share a stream
@@ -432,11 +432,11 @@ def run_name_for(system, arch, lam, seed):
     return f"{system}_{arch}_lam{lam_tag(lam)}_seed{seed}"
 
 
-def _run_group(system, arch, lam, seeds, data, cfg_base, lb, lf, out_dir,
+def _run_group(system, arch, cell_cfg, seeds, data, lb, lf, out_dir,
                data_seed):
     """Fit the given seeds of one (system, arch, lambda) cell as one stack."""
-    cfgs = [replace(cfg_base, lam=lam, seed=seed) for seed in seeds]
-    names = [run_name_for(system, arch, lam, seed) for seed in seeds]
+    cfgs = [replace(cell_cfg, seed=seed) for seed in seeds]
+    names = [run_name_for(system, arch, cfg.lam, cfg.seed) for cfg in cfgs]
     run_dirs = [None] * len(seeds)
     if out_dir is not None:
         run_dirs = [os.path.join(out_dir, name) for name in names]
@@ -445,7 +445,7 @@ def _run_group(system, arch, lam, seeds, data, cfg_base, lb, lf, out_dir,
     train = data["train"]
     try:
         specs, seq_shape = build_specs(arch, lb, train.d_in, lf, train.d_out,
-                                       dropout=cfg_base.dropout)
+                                       dropout=cell_cfg.dropout)
         models = [Model(specs, RngState(seed).child(_STREAM_MODEL_INIT),
                         seq_shape=seq_shape) for seed in seeds]
         if len(models) == 1:
@@ -471,8 +471,8 @@ def _run_group(system, arch, lam, seeds, data, cfg_base, lb, lf, out_dir,
         else:
             record = result
         record.config.update({"run_name": name, "system": system, "arch": arch,
-                              "lam": lam, "seed": cfg.seed, "lb": lb, "lf": lf,
-                              "data_seed": data_seed})
+                              "lam": cfg.lam, "seed": cfg.seed, "lb": lb,
+                              "lf": lf, "data_seed": data_seed})
         if run_dir is not None:
             save_run(record, run_dir, data["manifests"])
         records.append(record)
@@ -505,7 +505,7 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=DESK_WINDOW,
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if not seeds:
-        raise ConfigError("no seeds to train: the seed list is empty")
+        raise ConfigError("nothing to train: the seed list is empty")
     negative = [s for s in seeds if s < 0]
     if negative:
         # a seed keys a random stream, and keys are non-negative
@@ -518,28 +518,43 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=DESK_WINDOW,
         # two runs of one seed would write the same run directory
         raise ConfigError(
             f"seed(s) {', '.join(map(str, repeated))} given more than once")
+    cfg_base = TrainConfig() if cfg_base is None else cfg_base
+    cell_cfgs = [replace(cfg_base, lam=lam) for lam in lams]
+    for arch in archs:
+        if arch not in ARCHS:
+            raise ConfigError(f"unknown architecture {arch!r}; expected one "
+                              f"of {', '.join(ARCHS)}")
+    regimes = {system: (regimes_by_system or {}).get(system)
+               or desk_regimes(system, data_seed) for system in systems}
+    for name, value in (("lb", lb), ("lf", lf)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+    if lf <= cfg_base.lags:
+        raise ConfigError(
+            f"lf {lf} must exceed lags {cfg_base.lags}: the whiteness "
+            f"statistic needs a residual step past its last lag")
+    for system in systems:
+        steps = min(spec.steps for spec in regimes[system])
+        if lb + lf > steps:
+            raise ConfigError(f"lb + lf = {lb + lf} exceeds the {steps} "
+                              f"steps of a {system} trajectory")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    cfg_base = TrainConfig() if cfg_base is None else cfg_base
     data_by_system = {}
     for system in systems:
-        regimes = None
-        if regimes_by_system is not None:
-            regimes = regimes_by_system.get(system)
         data = prepare_data(system, lb=lb, lf=lf, data_seed=data_seed,
-                            regimes=regimes)
+                            regimes=regimes[system])
         # training never reads the extrapolation set; its manifest stays
         del data["extrap"]
         data_by_system[system] = data
     records = []
     for system in systems:
         for arch in archs:
-            for lam in lams:
+            for cell_cfg in cell_cfgs:
                 for start in range(0, len(seeds), jobs):
                     records += _run_group(
-                        system, arch, lam, seeds[start:start + jobs],
-                        data_by_system[system], cfg_base, lb, lf, out_dir,
-                        data_seed)
+                        system, arch, cell_cfg, seeds[start:start + jobs],
+                        data_by_system[system], lb, lf, out_dir, data_seed)
     return records
 
 

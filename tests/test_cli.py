@@ -207,6 +207,8 @@ def no_data(monkeypatch):
     # created --out, then exited 1: no window fits a 519-step trajectory
     (["--lb", "300", "--lf", "300"],
      "--lb + --lf = 600 exceeds the 519 steps of a pendulum trajectory"),
+    # TrainConfig's own message, with its field named as the flag
+    (["--lr", "0"], "--lr must be > 0"),
 ])
 def test_train_seeds_and_windows_are_checked_first(tmp_path, capsys,
                                                    no_data, flags, message):

@@ -261,6 +261,23 @@ def test_run_matrix_counts_and_determinism(tmp_path):
     ({"seeds": [1], "data_seed": -1}, "data_seed must be >= 0, got -1"),
     ({"seeds": []}, "the seed list is empty"),
     ({"seeds": [2, -1]}, "seeds must be >= 0, got -1"),
+    # trained and succeeded; eval of the run dir was refused later
+    ({"lf": 3}, "lf 3 must exceed lags 5"),
+    # built the data and wrote a failed run dir
+    ({"lf": 3, "lams": [1.0]}, "lf 3 must exceed lags 5"),
+    # created out_dir, started simulating, then raised DomainError
+    ({"lb": 0}, "lb must be >= 1, got 0"),
+    ({"lf": 0}, "lf must be >= 1, got 0"),
+    ({"lb": 300, "lf": 300},
+     "lb + lf = 600 exceeds the 519 steps of a pendulum trajectory"),
+    ({"lb": 25, "lf": 25, "regimes_by_system": {"pendulum": TINY_REGIMES}},
+     "lb + lf = 50 exceeds the 40 steps of a pendulum trajectory"),
+    # built the data and wrote a failed run dir
+    ({"archs": ["gru"]}, "unknown architecture 'gru'"),
+    # created out_dir, then raised
+    ({"systems": ["bogus"]}, "unknown system 'bogus'"),
+    # trained the lambda 1 group and wrote its run dir, then raised
+    ({"lams": [1.0, -1.0]}, "lam and l2 must be >= 0"),
 ])
 def test_run_matrix_refuses_bad_seeds_before_any_data(tmp_path, monkeypatch,
                                                       kwargs, message):
@@ -269,9 +286,10 @@ def test_run_matrix_refuses_bad_seeds_before_any_data(tmp_path, monkeypatch,
 
     monkeypatch.setattr(training, "prepare_data", prepare_data)
     out = tmp_path / "runs"
+    args = dict(systems=["pendulum"], archs=["dense"], lams=[0.0], seeds=[1],
+                out_dir=str(out))
     with pytest.raises(ConfigError, match=re.escape(message)):
-        run_matrix(systems=["pendulum"], archs=["dense"], lams=[0.0],
-                   out_dir=str(out), **kwargs)
+        run_matrix(**{**args, **kwargs})
     assert not out.exists()
 
 
