@@ -177,9 +177,9 @@ def _expected_type(key, value):
     return None
 
 
-def _merge_train_config(args):
-    """Built-in defaults, overridden by --config file, overridden by flags."""
-    merged = dict(_TRAIN_DEFAULTS)
+def _given_train_config(args):
+    """The --config file's values, overridden by the flags given."""
+    given = {}
     if args.config:
         try:
             doc = read_json(args.config)
@@ -196,21 +196,23 @@ def _merge_train_config(args):
             if expected:
                 raise UsageError(
                     f"config key {key!r} must be {expected}, got {value!r}")
-        merged.update(doc)
+        given.update(doc)
     for key in _TRAIN_DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
-            merged[key] = value
-    return merged
+            given[key] = value
+    return given
 
 
 def cmd_train(args):
-    cfg = _merge_train_config(args)
+    given = _given_train_config(args)
+    cfg = {**_TRAIN_DEFAULTS, **given}
     if cfg["loss"] not in _LOSSES:
         raise UsageError(
             f"unknown loss {cfg['loss']!r}; expected one of {', '.join(_LOSSES)}")
     if cfg["loss"] == "mse":
-        if args.lam is not None and args.lam != 0.0:
+        # from the file or the flag, a lambda the loss would drop is refused
+        if given.get("lam", 0.0) != 0.0:
             raise UsageError("--lambda requires --loss mse+ljb")
         lam = cfg["lam"] = 0.0
     else:
@@ -251,7 +253,7 @@ def cmd_train(args):
 
 def _config_id(config):
     tag = f"{config['system']}_{config['arch']}_lam{lam_tag(config['lam'])}"
-    if config["train"].get("dropout", 0.0) > 0.0:
+    if config["train"]["dropout"] > 0.0:
         tag += "_drop"
     return tag
 

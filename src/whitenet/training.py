@@ -498,9 +498,13 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=DESK_WINDOW,
     included) become error records; the matrix finishes.
     Results come back in job order, so equal inputs give equal outputs, and
     with ``out_dir`` set every run leaves a manifest + checkpoint directory.
-    An empty, negative or repeated seed, a negative ``data_seed`` or
-    ``jobs`` below 1 raises :class:`ConfigError` before any data or
-    directory is made.
+    These raise :class:`ConfigError` before any data or directory is made:
+    ``jobs`` below 1; an empty, negative or repeated seed; a negative
+    ``data_seed``; a lambda that ``TrainConfig`` refuses; an unknown arch or
+    system; ``lb`` or ``lf`` below 1; ``lf`` not above ``cfg_base.lags``
+    at any lambda, as eval tests whiteness at those lags; and ``lb + lf``
+    over the shortest trajectory of a system's regimes
+    (``regimes_by_system``'s, else :func:`desk_regimes`').
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -575,5 +579,37 @@ def save_run(record, run_dir, dataset_manifests):
             fh.write(f"{e},{tr:.17g},{vl:.17g},{lr:.17g}\n")
 
 
+# The keys of a record that eval reads, and what each must hold
+_STRING = ((str,), "a string")
+_INTEGER = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+_RECORD_KEYS = {
+    "config.system": _STRING, "config.arch": _STRING, "config.lam": _NUMBER,
+    "config.lb": _INTEGER, "config.lf": _INTEGER,
+    "config.data_seed": _INTEGER, "config.train.lags": _INTEGER,
+    "config.train.dropout": _NUMBER,
+    "error": ((str, type(None)), "a string or null"),
+}
+
+
 def load_run(run_dir):
-    return read_json(os.path.join(run_dir, "record.json"))
+    """A run dir's record.  A document that is not an object, or lacks or
+    mistypes a key that eval reads, raises :class:`ConfigError` naming the
+    file and the key."""
+    path = os.path.join(run_dir, "record.json")
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    for name, (types, what) in _RECORD_KEYS.items():
+        value, keys = doc, name.split(".")
+        for depth, key in enumerate(keys):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path}: {'.'.join(keys[:depth])} must "
+                                  f"be an object")
+            if key not in value:
+                raise ConfigError(f"{path}: {'.'.join(keys[:depth + 1])} "
+                                  f"is missing")
+            value = value[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{path}: {name} must be {what}, got {value!r}")
+    return doc

@@ -209,6 +209,7 @@ def no_data(monkeypatch):
      "--lb + --lf = 600 exceeds the 519 steps of a pendulum trajectory"),
     # TrainConfig's own message, with its field named as the flag
     (["--lr", "0"], "--lr must be > 0"),
+    (["--loss", "mse", "--lambda", "2.0"], "--lambda requires --loss mse+ljb"),
 ])
 def test_train_seeds_and_windows_are_checked_first(tmp_path, capsys,
                                                    no_data, flags, message):
@@ -264,6 +265,9 @@ def test_train_config_empty_seed_list(tmp_path, capsys, no_data):
     ({"batch": True}, "'batch' must be an integer, got True"),
     ({"system": 1}, "'system' must be a string, got 1"),
     ([1, 2], "must hold a JSON object"),
+    # trained at lambda 0 and exited 0: the file's lambda was dropped
+    ({"loss": "mse", "lam": 2.0, "epochs": 1, "seeds": [3]},
+     "--lambda requires --loss mse+ljb"),
 ])
 def test_train_config_values_are_type_checked(tmp_path, capsys, no_data,
                                               doc, message):
@@ -272,6 +276,15 @@ def test_train_config_values_are_type_checked(tmp_path, capsys, no_data,
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_train_config_loss_mse_without_lambda_trains_at_zero(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"loss": "mse", "epochs": 1, "seeds": [3]}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    manifest = json.loads(
+        (tmp_path / "pendulum_dense_lam0_matrix.json").read_text())
+    assert manifest["lam"] == 0.0
 
 
 def test_train_config_numbers_and_null_out_are_accepted(tmp_path):
@@ -475,20 +488,13 @@ def _add_spec_key(doc):
     doc["layer_specs"][0]["width"] = 3
 
 
-@pytest.mark.parametrize("spoil, key", [
-    (_drop_first_weight, "layer1.W"),     # was a KeyError traceback
-    (_shorten_first_row, "layer1.W"),     # numpy's "inhomogeneous shape"
-    (_drop_layer_specs, "layer_specs"),   # a KeyError traceback
-    (_add_spec_key, "width"),             # a TypeError traceback
-])
-def test_eval_spoiled_checkpoint_exits_1_naming_file_and_key(
-        tmp_path, capsys, one_epoch_run, spoil, key):
+def _eval_spoiled(tmp_path, capsys, one_epoch_run, fname, spoil, key):
     # the spoiled run dir comes after a good one, whose reports it used to
     # leave behind
     good, run_dir = tmp_path / "good", tmp_path / "spoiled"
     shutil.copytree(one_epoch_run, good)
     shutil.copytree(one_epoch_run, run_dir)
-    path = run_dir / "checkpoint.json"
+    path = run_dir / fname
     doc = json.loads(path.read_text())
     spoil(doc)
     path.write_text(json.dumps(doc))
@@ -498,6 +504,50 @@ def test_eval_spoiled_checkpoint_exits_1_naming_file_and_key(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spoil, key", [
+    (_drop_first_weight, "layer1.W"),     # was a KeyError traceback
+    (_shorten_first_row, "layer1.W"),     # numpy's "inhomogeneous shape"
+    (_drop_layer_specs, "layer_specs"),   # a KeyError traceback
+    (_add_spec_key, "width"),             # a TypeError traceback
+])
+def test_eval_spoiled_checkpoint_exits_1_naming_file_and_key(
+        tmp_path, capsys, one_epoch_run, spoil, key):
+    _eval_spoiled(tmp_path, capsys, one_epoch_run, "checkpoint.json", spoil,
+                  key)
+
+
+def _drop_lb(doc):
+    del doc["config"]["lb"]
+
+
+def _lb_as_text(doc):
+    doc["config"]["lb"] = "10"
+
+
+def _config_as_list(doc):
+    doc["config"] = [doc["config"]]
+
+
+def _fractional_lags(doc):
+    doc["config"]["train"]["lags"] = 2.5
+
+
+def _error_as_number(doc):
+    doc["error"] = 1
+
+
+@pytest.mark.parametrize("spoil, key", [
+    (_drop_lb, "config.lb"),                 # was a KeyError traceback
+    (_lb_as_text, "config.lb"),              # a TypeError traceback
+    (_config_as_list, "config"),             # a TypeError traceback
+    (_fractional_lags, "config.train.lags"),  # a TypeError traceback
+    (_error_as_number, "error"),
+])
+def test_eval_spoiled_record_exits_1_naming_file_and_key(
+        tmp_path, capsys, one_epoch_run, spoil, key):
+    _eval_spoiled(tmp_path, capsys, one_epoch_run, "record.json", spoil, key)
 
 
 def test_eval_holds_one_systems_data_at_a_time(tmp_path, monkeypatch):

@@ -563,7 +563,10 @@ def test_run_matrix_fits_without_the_extrap_set(monkeypatch, jobs):
 
 
 def test_save_and_load_run(tmp_path):
-    record = RunRecord(config={"arch": "dense"}, train_losses=[1.0, 0.5],
+    # load_run refuses a record without the keys that eval reads
+    config = {"system": "pendulum", "arch": "dense", "lam": 1.0, "lb": 10,
+              "lf": 10, "data_seed": 0, "train": asdict(TrainConfig())}
+    record = RunRecord(config=config, train_losses=[1.0, 0.5],
                        val_losses=[0.9, 0.6], lr_trace=[0.01, 0.01],
                        best_epoch=1, best_val_loss=0.6, epochs_run=2)
     save_run(record, str(tmp_path), {"train": {"n": 10}})
