@@ -528,8 +528,10 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=DESK_WINDOW,
         if arch not in ARCHS:
             raise ConfigError(f"unknown architecture {arch!r}; expected one "
                               f"of {', '.join(ARCHS)}")
-    regimes = {system: (regimes_by_system or {}).get(system)
-               or desk_regimes(system, data_seed) for system in systems}
+    regimes = {}
+    for system in systems:
+        desk = desk_regimes(system, data_seed)   # refuses an unknown system
+        regimes[system] = (regimes_by_system or {}).get(system) or desk
     for name, value in (("lb", lb), ("lf", lf)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")

@@ -278,6 +278,9 @@ def test_run_matrix_counts_and_determinism(tmp_path):
     ({"systems": ["bogus"]}, "unknown system 'bogus'"),
     # trained the lambda 1 group and wrote its run dir, then raised
     ({"lams": [1.0, -1.0]}, "lam and l2 must be >= 0"),
+    # created out_dir, then the simulator raised
+    ({"systems": ["bogus"], "regimes_by_system": {"bogus": TINY_REGIMES}},
+     "unknown system 'bogus'"),
 ])
 def test_run_matrix_refuses_bad_seeds_before_any_data(tmp_path, monkeypatch,
                                                       kwargs, message):
