@@ -25,6 +25,7 @@ import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from .datasets import (
+    JSON_KIND,
     RegimeSpec,
     csv_export,
     read_json,
@@ -155,26 +156,11 @@ _FLAG_OF = {name: "--lambda" if key == "lam" else "--" + key.replace("_", "-")
 _FLAG_WORD = re.compile(r"\b(%s)\b" % "|".join(_FLAG_OF))
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _expected_type(key, value):
-    """What a --config ``value`` for ``key`` should be, if its JSON type is
-    wrong: the type of the key's default, where any number fits a float."""
-    default = _TRAIN_DEFAULTS[key]
-    if isinstance(default, list):
-        if not (isinstance(value, list) and all(map(_is_int, value))):
-            return "a list of integers"
-    elif isinstance(default, int):
-        if not _is_int(value):
-            return "an integer"
-    elif isinstance(default, float):
-        if not (_is_int(value) or isinstance(value, float)):
-            return "a number"
-    elif not (isinstance(value, str) or (value is None and default is None)):
-        return "a string"
-    return None
+# What each --config key holds: its default's kind (seeds are integers, and
+# out is a path or null); any key may be left out
+_CONFIG_KEYS = {key: f"{kind} or missing" for key, kind in dict(
+    {key: JSON_KIND.get(type(value)) for key, value in _TRAIN_DEFAULTS.items()},
+    seeds="list of integers", out="string or null").items()}
 
 
 def _given_train_config(args):
@@ -182,21 +168,9 @@ def _given_train_config(args):
     given = {}
     if args.config:
         try:
-            doc = read_json(args.config)
+            given = read_json(args.config, _CONFIG_KEYS, closed="config")
         except ConfigError as exc:
             raise UsageError(str(exc))
-        if not isinstance(doc, dict):
-            raise UsageError(f"{args.config} must hold a JSON object")
-        unknown = sorted(set(doc) - set(_TRAIN_DEFAULTS))
-        if unknown:
-            raise UsageError(
-                f"unknown config keys: {', '.join(unknown)}")
-        for key, value in sorted(doc.items()):
-            expected = _expected_type(key, value)
-            if expected:
-                raise UsageError(
-                    f"config key {key!r} must be {expected}, got {value!r}")
-        given.update(doc)
     for key in _TRAIN_DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
@@ -323,15 +297,26 @@ def cmd_eval(args):
             raise StateError(f"missing checkpoint {ckpt_path}")
         models.append(load_checkpoint(ckpt_path)[0])
     # each data key's datasets are freed after the last run dir that reads
-    # them, so run dirs grouped by system hold one system's data at a time
+    # them, so run dirs grouped by system hold one system's data at a time.
+    # Every report is formed, and found finite, before any file is written.
     keys = [_data_key(record["config"]) for record in records]
     data_cache = {}
+    reports_by_dir = []
+    with np.errstate(all="ignore"):   # an overflow shows as a non-finite report
+        for i, run_dir in enumerate(args.run_dirs):
+            reports = _eval_one_dir(run_dir, records[i], models[i],
+                                    data_cache, args.lags)
+            if keys[i] not in keys[i + 1:]:
+                del data_cache[keys[i]]
+            for name, rep in reports.items():
+                if not all(np.isfinite(value).all() for value in
+                           vars(rep).values()
+                           if isinstance(value, (float, np.ndarray))):
+                    raise DomainError(f"{run_dir}: its {name} report is not "
+                                      f"finite; the model overflows")
+            reports_by_dir.append(reports)
     by_config = {}
-    for i, run_dir in enumerate(args.run_dirs):
-        reports = _eval_one_dir(run_dir, records[i], models[i], data_cache,
-                                args.lags)
-        if keys[i] not in keys[i + 1:]:
-            del data_cache[keys[i]]
+    for run_dir, reports in zip(args.run_dirs, reports_by_dir):
         out_dir = _out_root(args.out, run_dir)
         os.makedirs(out_dir, exist_ok=True)
         prefix = ""

@@ -20,8 +20,9 @@ import csv
 import json
 import math
 import os
+import reprlib
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -442,16 +443,79 @@ def _refuse_constant(token):
     raise ValueError(f"{token} is not a number in strict JSON")
 
 
-def read_json(path):
-    """Read a JSON artifact.  A file that does not parse, as a write cut
-    short leaves it, or that holds ``NaN`` or ``Infinity``, which
-    :func:`write_json` never writes, raises :class:`ConfigError` naming the
-    file."""
+# The python types json.load gives each kind of value a schema names: a
+# bool is none of them, any number fits a float, and no value is missing
+_TYPES = {"string": (str,), "integer": (int,), "number": (int, float),
+          "object": (dict,), "list": (list,), "null": (type(None),),
+          "missing": ()}
+
+# The kind that holds a value of each python type, for schemas derived from
+# dataclass fields and defaults
+JSON_KIND = {str: "string", int: "integer", float: "number", dict: "object",
+             list: "list", tuple: "list", np.ndarray: "list"}
+
+
+def fields_schema(cls):
+    """The schema of a JSON object of dataclass ``cls``'s fields: each
+    field's kind, where a field with a default may be left out."""
+    return {f.name: JSON_KIND[f.type] + (
+        "" if f.default is MISSING and f.default_factory is MISSING
+        else " or missing") for f in fields(cls)}
+
+
+def _is(value, kind):
+    if kind.startswith("list of "):   # "list of integers": each an integer
+        return isinstance(value, list) and all(_is(v, kind[8:-1])
+                                               for v in value)
+    return isinstance(value, _TYPES[kind]) and not isinstance(value, bool)
+
+
+def check_json(doc, schema, where, closed=None):
+    """Check a parsed JSON document against ``schema``.
+
+    ``schema`` maps each key to the kinds its value may be, joined by
+    " or " (``"string or null"``); the kind ``missing`` lets the key be
+    left out.  A dotted key (``"config.lb"``) is a key of an object that
+    ``schema`` lists before it (``"config": "object"``).  A document that is
+    not an object, a missing key or a value of no listed kind raises
+    :class:`ConfigError` naming ``where`` and the key.  When ``closed``
+    names the document (``"config"``), a top-level key that ``schema`` does
+    not list is refused too.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must hold a JSON object")
+    unknown = sorted(set(doc) - set(schema)) if closed else []
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown {closed} keys: {', '.join(unknown)}")
+    for name, kinds in schema.items():
+        *parents, key = name.split(".")
+        value = doc
+        for parent in parents:
+            value = value[parent]
+        kinds = kinds.split(" or ")
+        if key not in value and "missing" not in kinds:
+            raise ConfigError(f"{where}: {name!r} is missing")
+        if key in value and not any(_is(value[key], k) for k in kinds):
+            what = " or ".join(k if k == "null" else ("an " if k[0] in "aeiou"
+                               else "a ") + k for k in kinds if k != "missing")
+            raise ConfigError(f"{where}: {name!r} must be {what}, got "
+                              f"{reprlib.repr(value[key])}")
+
+
+def read_json(path, schema, closed=None):
+    """Read a JSON artifact and check it against ``schema`` (see
+    :func:`check_json`), naming the file in any error.  A file that does
+    not parse, as a write cut short leaves it, or that holds ``NaN`` or
+    ``Infinity``, which :func:`write_json` never writes, raises
+    :class:`ConfigError` too."""
     with open(path) as fh:
         try:
-            return json.load(fh, parse_constant=_refuse_constant)
+            doc = json.load(fh, parse_constant=_refuse_constant)
         except ValueError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    check_json(doc, schema, path, closed)
+    return doc
 
 
 def write_json(doc, path, sort_keys=True):

@@ -15,11 +15,11 @@ so the package needs no stats dependency at runtime.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .datasets import open_atomic, read_json, write_json
+from .datasets import fields_schema, open_atomic, read_json, write_json
 from .errors import ConfigError, DomainError, ShapeError
 from .losses import LossConfig, ljb_statistic, mse
 
@@ -78,6 +78,10 @@ def chi2_upper_tail(x, dof):
     return min(1.0, max(0.0, math.exp(log_prefix) * h))
 
 
+# A report's per-channel arrays, which aggregate takes mean and std of
+_METRICS = ("rmse", "std", "acf", "sum_ac", "sum_ac_sq", "ljb", "p_value")
+
+
 @dataclass
 class EvalReport:
     """Per-channel residual diagnostics for one model on one dataset."""
@@ -102,40 +106,11 @@ class EvalReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
-        doc = {
-            "format_version": REPORT_FORMAT_VERSION,
-            "config_id": self.config_id,
-            "run_id": self.run_id,
-            "dataset_id": self.dataset_id,
-            "channels": list(self.channels),
-            "lags": self.lags,
-            "n_samples": self.n_samples,
-            "lf": self.lf,
-            "band_window": self.band_window,
-            "band_mean": self.band_mean,
-            "mse_value": self.mse_value,
-            "extras": self.extras,
-        }
-        for name in ("rmse", "std", "acf", "sum_ac", "sum_ac_sq", "ljb",
-                     "p_value"):
+        doc = {"format_version": REPORT_FORMAT_VERSION, **vars(self),
+               "channels": list(self.channels)}
+        for name in _METRICS:
             doc[name] = getattr(self, name).tolist()
         return doc
-
-    @classmethod
-    def from_dict(cls, doc):
-        if doc.get("format_version") != REPORT_FORMAT_VERSION:
-            raise ConfigError(
-                f"unsupported report format_version {doc.get('format_version')!r}")
-        return cls(
-            config_id=doc["config_id"], run_id=doc["run_id"],
-            dataset_id=doc["dataset_id"], channels=tuple(doc["channels"]),
-            lags=doc["lags"], n_samples=doc["n_samples"], lf=doc["lf"],
-            rmse=np.asarray(doc["rmse"]), std=np.asarray(doc["std"]),
-            acf=np.asarray(doc["acf"]), sum_ac=np.asarray(doc["sum_ac"]),
-            sum_ac_sq=np.asarray(doc["sum_ac_sq"]),
-            ljb=np.asarray(doc["ljb"]), p_value=np.asarray(doc["p_value"]),
-            band_window=doc["band_window"], band_mean=doc["band_mean"],
-            mse_value=doc["mse_value"], extras=doc.get("extras", {}))
 
 
 def predict(model, ds):
@@ -178,9 +153,6 @@ def evaluate(model, ds, lags=5, run_id="", dataset_id="", config_id=""):
         mse_value=mse_value)
 
 
-_AGG_METRICS = ("rmse", "std", "acf", "sum_ac", "sum_ac_sq", "ljb", "p_value")
-
-
 @dataclass
 class AggregateReport:
     """Across-seed mean and std of every EvalReport metric."""
@@ -219,7 +191,7 @@ def aggregate(reports):
             raise DomainError("cannot aggregate reports of mixed configurations")
     mean = {}
     std = {}
-    for name in _AGG_METRICS:
+    for name in _METRICS:
         stack = np.stack([getattr(rep, name) for rep in reports])
         mean[name] = stack.mean(axis=0)
         std[name] = stack.std(axis=0)
@@ -289,8 +261,21 @@ def _emit_acf_csv(report, path):
                                  f"{report.band_mean:.17g}"])
 
 
+# What a report JSON holds: EvalReport's fields, as to_dict writes them
+_REPORT_KEYS = {"format_version": "integer", **fields_schema(EvalReport)}
+
+
 def load_report(path):
-    return EvalReport.from_dict(read_json(path))
+    """The report that ``emit(report, "json", path)`` wrote.  A missing or
+    mistyped key raises :class:`ConfigError` naming the file and the key."""
+    doc = read_json(path, _REPORT_KEYS)
+    if doc["format_version"] != REPORT_FORMAT_VERSION:
+        raise ConfigError(f"{path}: unsupported report format_version "
+                          f"{doc['format_version']!r}")
+    values = {f.name: doc[f.name] for f in fields(EvalReport) if f.name in doc}
+    values["channels"] = tuple(values["channels"])
+    values.update((name, np.asarray(values[name])) for name in _METRICS)
+    return EvalReport(**values)
 
 
 def emit_comparison(aggregates, path):

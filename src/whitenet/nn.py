@@ -35,7 +35,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .datasets import read_json, write_json
+from .datasets import check_json, fields_schema, read_json, write_json
 from .errors import ConfigError, ShapeError, StateError
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -101,31 +101,14 @@ def spec_to_dict(spec):
     return dict(spec.__dict__)
 
 
-def _has_type(value, kind):
-    # a JSON number without a fraction reads as an int, and fits a float
-    allowed = (int, float) if kind is float else kind
-    return isinstance(value, allowed) and not isinstance(value, bool)
-
-
 def spec_from_dict(d):
     """The layer spec ``d`` describes.  A missing, unknown or mistyped key
     raises :class:`ConfigError` naming it."""
-    d = dict(d)
-    kind = d.pop("kind", None)
+    kind = d.get("kind")
     if kind not in _SPEC_KINDS:
         raise ConfigError(f"unknown layer kind {kind!r}")
-    spec_fields = {f.name: f for f in fields(_SPEC_KINDS[kind])
-                   if f.name != "kind"}
-    unknown = sorted(set(d) - set(spec_fields))
-    if unknown:
-        raise ConfigError(f"unknown {kind} layer key {unknown[0]!r}")
-    for key, field in spec_fields.items():
-        if key not in d:
-            if field.default is MISSING:
-                raise ConfigError(f"{kind} layer is missing key {key!r}")
-        elif not _has_type(d[key], field.type):
-            raise ConfigError(f"{kind} layer key {key!r} must be "
-                              f"{field.type.__name__}, got {d[key]!r}")
+    check_json(d, fields_schema(_SPEC_KINDS[kind]), f"{kind} layer",
+               closed="layer")
     return _SPEC_KINDS[kind](**d)
 
 
@@ -614,6 +597,13 @@ def save_checkpoint(model, path, seed=None, epoch=0, best_val_loss=None):
     write_json(doc, path, sort_keys=False)
 
 
+# The keys of a checkpoint that load_checkpoint reads
+_CHECKPOINT_KEYS = {"format_version": "integer",
+                    "layer_specs": "list of objects",
+                    "seq_shape": "list of integers or null",
+                    "parameters": "object"}
+
+
 def load_checkpoint(path):
     """Rebuild the model from a checkpoint file; returns (model, doc).
 
@@ -622,22 +612,13 @@ def load_checkpoint(path):
     :class:`ConfigError` naming the file and the key; a parameter of the
     wrong shape raises :class:`ShapeError`.
     """
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+    doc = read_json(path, _CHECKPOINT_KEYS)
+    if doc["format_version"] != CHECKPOINT_FORMAT_VERSION:
         raise ConfigError(
             f"{path}: unsupported checkpoint format_version "
-            f"{doc.get('format_version')!r}")
-    specs = doc.get("layer_specs")
-    if not isinstance(specs, list) or not all(isinstance(d, dict)
-                                              for d in specs):
-        raise ConfigError(f"{path}: layer_specs must be a list of objects, "
-                          f"got {specs!r}")
-    seq_shape = doc.get("seq_shape")
-    if seq_shape is not None and not (
-            isinstance(seq_shape, list) and len(seq_shape) == 2
-            and all(_has_type(v, int) for v in seq_shape)):
+            f"{doc['format_version']!r}")
+    specs, seq_shape = doc["layer_specs"], doc["seq_shape"]
+    if seq_shape is not None and len(seq_shape) != 2:
         raise ConfigError(f"{path}: seq_shape must be null or two integers, "
                           f"got {seq_shape!r}")
     try:
@@ -645,9 +626,7 @@ def load_checkpoint(path):
                       seq_shape=seq_shape)
     except ConfigError as exc:
         raise ConfigError(f"{path}: layer_specs: {exc}") from None
-    params = doc.get("parameters")
-    if not isinstance(params, dict):
-        raise ConfigError(f"{path}: parameters must be an object")
+    params = doc["parameters"]
     for p in model.params:
         if p.name not in params:
             raise ConfigError(f"{path}: parameters has no {p.name!r}")

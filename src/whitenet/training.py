@@ -499,9 +499,10 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=DESK_WINDOW,
     Results come back in job order, so equal inputs give equal outputs, and
     with ``out_dir`` set every run leaves a manifest + checkpoint directory.
     These raise :class:`ConfigError` before any data or directory is made:
-    ``jobs`` below 1; an empty, negative or repeated seed; a negative
-    ``data_seed``; a lambda that ``TrainConfig`` refuses; an unknown arch or
-    system; ``lb`` or ``lf`` below 1; ``lf`` not above ``cfg_base.lags``
+    ``jobs`` below 1; an empty or negative seed; a repeated seed, arch,
+    system or lambda (by :func:`lam_tag`); a negative ``data_seed``; a
+    lambda that ``TrainConfig`` refuses; an unknown arch or system; ``lb``
+    or ``lf`` below 1; ``lf`` not above ``cfg_base.lags``
     at any lambda, as eval tests whiteness at those lags; and ``lb + lf``
     over the shortest trajectory of a system's regimes
     (``regimes_by_system``'s, else :func:`desk_regimes`').
@@ -517,11 +518,14 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=DESK_WINDOW,
             f"seeds must be >= 0, got {', '.join(map(str, negative))}")
     if data_seed < 0:
         raise ConfigError(f"data_seed must be >= 0, got {data_seed}")
-    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-    if repeated:
-        # two runs of one seed would write the same run directory
-        raise ConfigError(
-            f"seed(s) {', '.join(map(str, repeated))} given more than once")
+    # two runs of one name would write the same run directory; lambdas are
+    # named by their tag, which keeps six significant digits
+    for what, given in (("seed", seeds), ("lambda", list(map(lam_tag, lams))),
+                        ("arch", archs), ("system", systems)):
+        repeated = sorted({v for v in given if given.count(v) > 1})
+        if repeated:
+            raise ConfigError(f"{what}(s) {', '.join(map(str, repeated))} "
+                              f"given more than once")
     cfg_base = TrainConfig() if cfg_base is None else cfg_base
     cell_cfgs = [replace(cfg_base, lam=lam) for lam in lams]
     for arch in archs:
@@ -582,15 +586,12 @@ def save_run(record, run_dir, dataset_manifests):
 
 
 # The keys of a record that eval reads, and what each must hold
-_STRING = ((str,), "a string")
-_INTEGER = ((int,), "an integer")
-_NUMBER = ((int, float), "a number")
 _RECORD_KEYS = {
-    "config.system": _STRING, "config.arch": _STRING, "config.lam": _NUMBER,
-    "config.lb": _INTEGER, "config.lf": _INTEGER,
-    "config.data_seed": _INTEGER, "config.train.lags": _INTEGER,
-    "config.train.dropout": _NUMBER,
-    "error": ((str, type(None)), "a string or null"),
+    "config": "object", "config.train": "object", "error": "string or null",
+    "config.system": "string", "config.arch": "string",
+    "config.lam": "number", "config.lb": "integer", "config.lf": "integer",
+    "config.data_seed": "integer", "config.train.lags": "integer",
+    "config.train.dropout": "number",
 }
 
 
@@ -598,20 +599,4 @@ def load_run(run_dir):
     """A run dir's record.  A document that is not an object, or lacks or
     mistypes a key that eval reads, raises :class:`ConfigError` naming the
     file and the key."""
-    path = os.path.join(run_dir, "record.json")
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
-    for name, (types, what) in _RECORD_KEYS.items():
-        value, keys = doc, name.split(".")
-        for depth, key in enumerate(keys):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path}: {'.'.join(keys[:depth])} must "
-                                  f"be an object")
-            if key not in value:
-                raise ConfigError(f"{path}: {'.'.join(keys[:depth + 1])} "
-                                  f"is missing")
-            value = value[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ConfigError(f"{path}: {name} must be {what}, got {value!r}")
-    return doc
+    return read_json(os.path.join(run_dir, "record.json"), _RECORD_KEYS)

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shutil
+import warnings
 import weakref
 
 import numpy as np
@@ -548,6 +549,29 @@ def _error_as_number(doc):
 def test_eval_spoiled_record_exits_1_naming_file_and_key(
         tmp_path, capsys, one_epoch_run, spoil, key):
     _eval_spoiled(tmp_path, capsys, one_epoch_run, "record.json", spoil, key)
+
+
+def test_eval_overflowing_checkpoint_exits_1_writes_and_warns_nothing(
+        tmp_path, capsys, one_epoch_run):
+    # wrote the good run dir's six files and one markdown report of the
+    # overflowing one, printed RuntimeWarnings, then exited 1
+    good, run_dir = tmp_path / "good", tmp_path / "overflows"
+    shutil.copytree(one_epoch_run, good)
+    shutil.copytree(one_epoch_run, run_dir)
+    path = run_dir / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    head = doc["parameters"]["head.W"]
+    doc["parameters"]["head.W"] = [[1e308] * len(row) for row in head]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "reports"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", str(good), str(run_dir), "--out", str(out)]) == 1
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run_dir}: its interp report is not finite")
+    assert not out.exists()
 
 
 def test_eval_holds_one_systems_data_at_a_time(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -303,6 +304,35 @@ def test_report_version_guard(tmp_path):
     doc["format_version"] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError):
+        load_report(path)
+
+
+def _drop_rmse(doc):
+    del doc["rmse"]
+
+
+def _fractional_lags(doc):
+    doc["lags"] = 2.5
+
+
+def _channels_as_text(doc):
+    doc["channels"] = "c0,c1"
+
+
+@pytest.mark.parametrize("spoil, key", [
+    (_drop_rmse, "rmse"),              # was a KeyError traceback
+    (_fractional_lags, "lags"),        # was read as lags 2.5
+    (_channels_as_text, "channels"),   # was read as five channels
+])
+def test_spoiled_report_is_a_config_error_naming_file_and_key(tmp_path,
+                                                              spoil, key):
+    path = tmp_path / "rep.json"
+    emit(_report("s0", 0.1), "json", path)
+    doc = json.loads(path.read_text())
+    spoil(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{path}: {key!r} ")):
         load_report(path)
 
 

@@ -281,6 +281,11 @@ def test_run_matrix_counts_and_determinism(tmp_path):
     # created out_dir, then the simulator raised
     ({"systems": ["bogus"], "regimes_by_system": {"bogus": TINY_REGIMES}},
      "unknown system 'bogus'"),
+    # each returned two records and wrote one run dir twice; both lambdas
+    # are named lam0p123456
+    ({"lams": [0.1234561, 0.1234562]}, "lambda(s) 0p123456 given more"),
+    ({"archs": ["dense", "rnn", "dense"]}, "arch(s) dense given more"),
+    ({"systems": ["pendulum", "pendulum"]}, "system(s) pendulum given more"),
 ])
 def test_run_matrix_refuses_bad_seeds_before_any_data(tmp_path, monkeypatch,
                                                       kwargs, message):
