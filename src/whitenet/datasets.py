@@ -138,6 +138,9 @@ class RegimeSpec:
             raise DomainError("hold, n_traj, steps must all be >= 1")
         if self.noise_sigma < 0 or self.init_jitter < 0:
             raise DomainError("noise_sigma and init_jitter must be >= 0")
+        if self.seed < 0:
+            # a seed keys a random stream, and keys are non-negative
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -259,6 +259,10 @@ def run_suites(components=None, n_instances=DEFAULT_INSTANCES,
     if n_instances < 1:
         raise ConfigError(
             f"gradcheck needs at least 1 instance, got {n_instances}")
+    if not 0.0 < tol < float("inf"):
+        raise ConfigError(f"tol must be finite and > 0, got {tol}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     names = tuple(components) if components else ALL_COMPONENTS
     bad = sorted(set(names) - set(_SUITES))
     if bad:

@@ -17,8 +17,9 @@ the same floating-point operations as a fit of that seed alone.  So a run's
 record and checkpoint do not depend on ``jobs``.
 """
 
+import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -68,6 +69,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            # strict JSON cannot hold nan or inf, and a nan passes every
+            # bound below
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.lr0 <= 0:
             raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
         if self.batch < 1 or self.max_epochs < 1:
@@ -297,7 +304,9 @@ def fit_stack(models, train, val, cfgs, checkpoint_dirs=None):
     so its record and checkpoint are bit for bit those of :func:`fit` on
     that model alone.  Every member takes the same number of Adam steps, so
     the bias corrections are shared.  A member that stops early or diverges
-    leaves the stack, and the others train on.
+    leaves the stack at the end of that epoch, and the others train on: a
+    diverged member takes the rest of the epoch's steps with them, which
+    changes no bit of theirs, as members share no arithmetic.
 
     Returns one entry per model: its RunRecord, or the DivergenceError that
     ended it.  One model trains as it is, with its 2-D parameters.
@@ -330,53 +339,37 @@ def fit_stack(models, train, val, cfgs, checkpoint_dirs=None):
         # a stacked model takes one entry per member, a single model its own
         return values if stacked else values[0]
 
-    def step(cache, dloss):
-        net.zero_grads()
-        net.backward(cache, dloss)
-        adam_step(net.params, adam, per_member([m.lr for m in active]),
-                  l2=cfg.l2, grad_clip=cfg.grad_clip)
-
     for epoch in range(cfg.max_epochs):
         perms = [m.shuffle_rng.permutation(n) for m in active]
+        rngs = per_member([m.dropout_rng for m in active])
+        lrs = per_member([m.lr for m in active])
         net.set_mode("train")
         epoch_loss = np.zeros(len(active))
-        for b in range(n_batches):
-            rows = per_member([p[b * batch:(b + 1) * batch] for p in perms])
-            rngs = per_member([m.dropout_rng for m in active])
-            xb, yb = train.batch(rows)
-            pred, cache = net.forward(xb, rng=rngs)
-            # a diverging fit overflows here; the non-finite loss is
-            # reported below as DivergenceError, not as RuntimeWarnings
-            with np.errstate(over="ignore", invalid="ignore"):
+        # a diverging member overflows from its first non-finite batch on;
+        # it takes the epoch's steps with the others, and the non-finite
+        # values are reported as its DivergenceError, not as RuntimeWarnings
+        with np.errstate(all="ignore"):
+            for b in range(n_batches):
+                xb, yb = train.batch(
+                    per_member([p[b * batch:(b + 1) * batch] for p in perms]))
+                pred, cache = net.forward(xb, rng=rngs)
                 loss, dloss = composite_loss(pred, yb, loss_cfg,
                                              n_channels=train.d_out)
-            ok = np.isfinite(loss)
-            if ok.all():
-                step(cache, dloss)
+                for i in np.flatnonzero(~np.isfinite(loss)):
+                    if active[i].result is None:
+                        active[i].result = DivergenceError(epoch, "composite")
+                net.zero_grads()
+                net.backward(cache, dloss)
+                adam_step(net.params, adam, lrs, l2=cfg.l2,
+                          grad_clip=cfg.grad_clip)
                 epoch_loss += loss
-                continue
-            ok = np.atleast_1d(ok)
-            for i in np.flatnonzero(~ok):
-                active[i].result = DivergenceError(epoch, "composite")
-            keep = np.flatnonzero(ok)
-            if not keep.size:
-                active = []
-                break
-            # the diverged members take this step with the others, quietly,
-            # and then leave the stack
-            with np.errstate(all="ignore"):
-                step(cache, dloss)
-            active = [active[i] for i in keep]
-            perms = [perms[i] for i in keep]
-            epoch_loss = (epoch_loss + loss)[keep]
-            _keep_members(net, adam, keep)
-        if not active:
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
             val_loss = np.atleast_1d(dataset_loss(net, val, loss_cfg))
-        keep = [i for i, m in enumerate(active) if not m.end_epoch(
-            epoch, float(epoch_loss[i] / n_batches), float(val_loss[i]),
-            [p.value[i] if stacked else p.value for p in net.params])]
+        # every member with a result leaves here: one that diverged, one
+        # that stops, and one whose validation loss diverges
+        keep = [i for i, m in enumerate(active) if m.result is None
+                and not m.end_epoch(
+                    epoch, float(epoch_loss[i] / n_batches), float(val_loss[i]),
+                    [p.value[i] if stacked else p.value for p in net.params])]
         if len(keep) < len(active):
             active = [active[i] for i in keep]
             if not active:

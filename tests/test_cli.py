@@ -63,6 +63,15 @@ def test_simulate_flag_the_system_ignores_is_usage_error(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_simulate_negative_seed_is_usage_error(tmp_path, capsys):
+    # crashed with a traceback from the random stream, after making --out
+    out = tmp_path / "sim"
+    assert main(["simulate", "--system", "pendulum", "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_flags_the_system_reads_are_recorded(tmp_path):
     for system, flag, key, value in (
             ("double_pendulum", "--init-jitter", "init_jitter", 0.5),
@@ -277,6 +286,29 @@ def test_train_config_values_are_type_checked(tmp_path, capsys, no_data,
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--l2", "--grad-clip", "--lambda"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_non_finite_hyperparameter_is_usage_error(tmp_path, capsys,
+                                                        no_data, flag, value):
+    # trained a whole fit, then left a run dir that save_run could not
+    # finish with a record.json, and exited 1
+    out = tmp_path / "runs"
+    assert _train(out, flag, value) == 2
+    assert f"{flag} must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_config_non_finite_number_is_usage_error(tmp_path, capsys,
+                                                       no_data):
+    # json reads 1e999 as inf
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"grad_clip": 1e999}')
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "--grad-clip must be finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_config_loss_mse_without_lambda_trains_at_zero(tmp_path):
@@ -685,6 +717,23 @@ def test_gradcheck_instances_below_one_is_usage_error(capsys, instances):
     assert main(["gradcheck", "--component", "mse",
                  "--instances", instances]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, message", [
+    # crashed with a traceback from the random stream
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+    # ran every suite and failed them all
+    (["--tol", "0"], "tol must be finite and > 0, got 0"),
+    (["--tol", "-0.5"], "tol must be finite and > 0, got -0.5"),
+    (["--tol", "nan"], "tol must be finite and > 0, got nan"),
+    (["--tol", "inf"], "tol must be finite and > 0, got inf"),
+])
+def test_gradcheck_bad_seed_or_tol_is_usage_error(capsys, flags, message):
+    assert main(["gradcheck", "--component", "mse", "--instances", "2",
+                 *flags]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_gradcheck_wrong_gradient_exits_nonzero(monkeypatch):
