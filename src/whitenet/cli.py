@@ -210,7 +210,7 @@ def cmd_train(args):
         out_dir, f"{cfg['system']}_{cfg['arch']}_lam{lam_tag(lam)}_matrix.json"))
     failed = 0
     for rec in records:
-        name = rec.config["run_name"]
+        name = rec.config.run_name
         if rec.ok:
             print(f"{name}: best val {rec.best_val_loss:.6g} at epoch "
                   f"{rec.best_epoch} ({rec.epochs_run} epochs)")
@@ -226,15 +226,15 @@ def cmd_train(args):
 # eval
 
 def _config_id(config):
-    tag = f"{config['system']}_{config['arch']}_lam{lam_tag(config['lam'])}"
-    if config["train"]["dropout"] > 0.0:
+    tag = f"{config.system}_{config.arch}_lam{lam_tag(config.train.lam)}"
+    if config.train.dropout > 0.0:
         tag += "_drop"
     return tag
 
 
 def _data_key(config):
     """What a run's eval data depends on: runs with equal keys share it."""
-    return (config["system"], config["lb"], config["lf"], config["data_seed"])
+    return (config.system, config.lb, config.lf, config.data_seed)
 
 
 def _eval_one_dir(run_dir, record, model, data_cache, lags_override):
@@ -245,16 +245,15 @@ def _eval_one_dir(run_dir, record, model, data_cache, lags_override):
     here on the key's first run.  The train split is never kept: eval does
     not read it.
     """
-    config = record["config"]
+    config = record.config
     key = _data_key(config)
     if key not in data_cache:
-        data = prepare_data(config["system"], lb=config["lb"],
-                            lf=config["lf"], data_seed=config["data_seed"])
+        data = prepare_data(config.system, lb=config.lb, lf=config.lf,
+                            data_seed=config.data_seed)
         data_cache[key] = (("interp", data["val"]),
                            ("extrap", data["extrap"]))
         del data    # and with it the train split, before any evaluation
-    lags = (lags_override if lags_override is not None
-            else config["train"]["lags"])
+    lags = config.train.lags if lags_override is None else lags_override
     cid = _config_id(config)
     run_id = os.path.basename(os.path.normpath(run_dir))
     reports = {}
@@ -285,13 +284,13 @@ def cmd_eval(args):
     # evaluated, so a bad one leaves no reports behind
     models = []
     for run_dir, record in zip(args.run_dirs, records):
-        lf = record["config"]["lf"]
+        lf = record.config.lf
         if args.lags is not None and args.lags >= lf:
             raise UsageError(f"--lags {args.lags} must be below the "
                              f"lookforward {lf} of {run_dir}")
-        if record.get("error"):
+        if not record.ok:
             raise StateError(f"{run_dir} holds a failed run "
-                             f"({record['error']}); nothing to eval")
+                             f"({record.error}); nothing to eval")
         ckpt_path = os.path.join(run_dir, CHECKPOINT_FILE)
         if not os.path.exists(ckpt_path):
             raise StateError(f"missing checkpoint {ckpt_path}")
@@ -299,7 +298,7 @@ def cmd_eval(args):
     # each data key's datasets are freed after the last run dir that reads
     # them, so run dirs grouped by system hold one system's data at a time.
     # Every report is formed, and found finite, before any file is written.
-    keys = [_data_key(record["config"]) for record in records]
+    keys = [_data_key(record.config) for record in records]
     data_cache = {}
     reports_by_dir = []
     with np.errstate(all="ignore"):   # an overflow shows as a non-finite report

@@ -22,7 +22,7 @@ import math
 import os
 import reprlib
 import tempfile
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -119,6 +119,15 @@ def _window_view(storage, steps, channels, what):
         writeable=False)
 
 
+def check_finite(spec, error):
+    """Raise ``error`` naming a float field of dataclass ``spec`` that is
+    nan or infinite, which passes every bound and strict JSON cannot hold."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.type is float and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value}")
+
+
 @dataclass
 class RegimeSpec:
     """How to excite a system and how much data to record."""
@@ -132,6 +141,7 @@ class RegimeSpec:
     init_jitter: float = 0.1   # unactuated systems: initial-angle spread
 
     def __post_init__(self):
+        check_finite(self, DomainError)
         if self.amplitude <= 0:
             raise DomainError(f"amplitude must be > 0, got {self.amplitude}")
         if self.hold < 1 or self.n_traj < 1 or self.steps < 1:
@@ -458,12 +468,27 @@ JSON_KIND = {str: "string", int: "integer", float: "number", dict: "object",
              list: "list", tuple: "list", np.ndarray: "list"}
 
 
-def fields_schema(cls):
+def fields_schema(cls, prefix=""):
     """The schema of a JSON object of dataclass ``cls``'s fields: each
-    field's kind, where a field with a default may be left out."""
-    return {f.name: JSON_KIND[f.type] + (
-        "" if f.default is MISSING and f.default_factory is MISSING
-        else " or missing") for f in fields(cls)}
+    field's kind, or null too where the field's default is None.  A field
+    that is a dataclass is an object, and its fields are dotted keys."""
+    schema = {}
+    for f in fields(cls):
+        if is_dataclass(f.type):
+            schema[prefix + f.name] = "object"
+            schema.update(fields_schema(f.type, f"{prefix}{f.name}."))
+        else:
+            schema[prefix + f.name] = JSON_KIND[f.type] + (
+                " or null" if f.default is None else "")
+    return schema
+
+
+def from_fields(cls, doc):
+    """The ``cls`` whose fields ``doc`` holds, a document that passed
+    :func:`fields_schema` (``cls``); a dataclass field is built likewise."""
+    return cls(**{f.name: from_fields(f.type, doc[f.name])
+                  if is_dataclass(f.type) else doc[f.name]
+                  for f in fields(cls)})
 
 
 def _is(value, kind):

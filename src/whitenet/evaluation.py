@@ -167,17 +167,10 @@ class AggregateReport:
     run_ids: list
 
     def to_dict(self):
-        return {
-            "format_version": REPORT_FORMAT_VERSION,
-            "config_id": self.config_id,
-            "dataset_id": self.dataset_id,
-            "channels": list(self.channels),
-            "lags": self.lags,
-            "n_seeds": self.n_seeds,
-            "mean": {k: v.tolist() for k, v in self.mean.items()},
-            "std": {k: v.tolist() for k, v in self.std.items()},
-            "run_ids": self.run_ids,
-        }
+        return {"format_version": REPORT_FORMAT_VERSION, **vars(self),
+                "channels": list(self.channels),
+                "mean": {k: v.tolist() for k, v in self.mean.items()},
+                "std": {k: v.tolist() for k, v in self.std.items()}}
 
 
 def aggregate(reports):
@@ -272,7 +265,7 @@ def load_report(path):
     if doc["format_version"] != REPORT_FORMAT_VERSION:
         raise ConfigError(f"{path}: unsupported report format_version "
                           f"{doc['format_version']!r}")
-    values = {f.name: doc[f.name] for f in fields(EvalReport) if f.name in doc}
+    values = {f.name: doc[f.name] for f in fields(EvalReport)}
     values["channels"] = tuple(values["channels"])
     values.update((name, np.asarray(values[name])) for name in _METRICS)
     return EvalReport(**values)

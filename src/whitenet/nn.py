@@ -31,7 +31,7 @@ Inner products here are plain BLAS-backed numpy matmuls, over whole
 batches and, in a stacked model, every member at once.
 """
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,7 +105,7 @@ def spec_from_dict(d):
     """The layer spec ``d`` describes.  A missing, unknown or mistyped key
     raises :class:`ConfigError` naming it."""
     kind = d.get("kind")
-    if kind not in _SPEC_KINDS:
+    if not isinstance(kind, str) or kind not in _SPEC_KINDS:
         raise ConfigError(f"unknown layer kind {kind!r}")
     check_json(d, fields_schema(_SPEC_KINDS[kind]), f"{kind} layer",
                closed="layer")

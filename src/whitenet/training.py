@@ -17,17 +17,19 @@ the same floating-point operations as a fit of that seed alone.  So a run's
 record and checkpoint do not depend on ``jobs``.
 """
 
-import math
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .datasets import (
     DESK_WINDOW,
     build_regime,
+    check_finite,
     dataset_manifest,
     desk_regimes,
+    fields_schema,
+    from_fields,
     normalize_apply,
     normalize_fit_apply,
     open_atomic,
@@ -49,6 +51,7 @@ _STREAM_SPLIT = 404
 PLATEAU_THRESHOLD = 1e-6   # absolute val-loss improvement that counts
 CHECKPOINT_FILE = "checkpoint.json"   # a checkpoint's name in its directory
 _VAL_FRACTION = 1.0 / 6.0   # of the interpolation windows (1000 of 6000)
+RECORD_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -69,12 +72,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            # strict JSON cannot hold nan or inf, and a nan passes every
-            # bound below
-            value = getattr(self, f.name)
-            if f.type is float and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+        check_finite(self, ConfigError)
         if self.lr0 <= 0:
             raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
         if self.batch < 1 or self.max_epochs < 1:
@@ -157,28 +155,38 @@ def adam_step(params, adam, lr, l2=0.0, grad_clip=0.0):
 
 
 @dataclass
+class RunConfig:
+    """What one run of the matrix trained: its data and its fit."""
+
+    run_name: str
+    system: str
+    arch: str
+    lb: int
+    lf: int
+    data_seed: int
+    train: TrainConfig
+
+
+@dataclass
 class RunRecord:
     """Everything one fit produced (or the error that ended it)."""
 
-    config: dict
+    config: RunConfig   # None in a record that fit returns; run_matrix sets it
     train_losses: list = field(default_factory=list)
     val_losses: list = field(default_factory=list)
     lr_trace: list = field(default_factory=list)
     best_epoch: int = -1
     best_val_loss: float = None   # None until a validation epoch finishes
     epochs_run: int = 0
-    checkpoint_path: str = None
     error: str = None
-    model: object = None    # in-memory handle, never serialized
+    model = None    # in-memory handle, not a field: never serialized
 
     @property
     def ok(self):
         return self.error is None
 
     def to_dict(self):
-        doc = {k: v for k, v in self.__dict__.items() if k != "model"}
-        doc["format_version"] = 1
-        return doc
+        return {"format_version": RECORD_FORMAT_VERSION, **asdict(self)}
 
 
 def dataset_loss(model, ds, loss_cfg, chunk=2048):
@@ -212,7 +220,7 @@ class _Member:
         self.shuffle_rng = RngState(cfg.seed).child(_STREAM_SHUFFLE)
         self.dropout_rng = RngState(cfg.seed).child(_STREAM_DROPOUT)
         self.lr = cfg.lr0
-        self.record = RunRecord(config={"train": asdict(cfg)})
+        self.record = RunRecord(config=None)
         self.best_params = [p.value.copy() for p in model.params]
         self.best_val = float("inf")      # exact running min, owns checkpoint
         self.patience_ref = float("inf")  # improvements below the threshold
@@ -270,7 +278,6 @@ class _Member:
             path = os.path.join(self.checkpoint_dir, CHECKPOINT_FILE)
             save_checkpoint(model, path, seed=self.cfg.seed,
                             epoch=self.best_epoch, best_val_loss=self.best_val)
-            record.checkpoint_path = path
         self.result = record
 
 
@@ -428,11 +435,14 @@ def run_name_for(system, arch, lam, seed):
 def _run_group(system, arch, cell_cfg, seeds, data, lb, lf, out_dir,
                data_seed):
     """Fit the given seeds of one (system, arch, lambda) cell as one stack."""
-    cfgs = [replace(cell_cfg, seed=seed) for seed in seeds]
-    names = [run_name_for(system, arch, cfg.lam, cfg.seed) for cfg in cfgs]
+    configs = [RunConfig(run_name_for(system, arch, cell_cfg.lam, seed),
+                         system, arch, lb, lf, data_seed,
+                         replace(cell_cfg, seed=seed)) for seed in seeds]
+    cfgs = [config.train for config in configs]
     run_dirs = [None] * len(seeds)
     if out_dir is not None:
-        run_dirs = [os.path.join(out_dir, name) for name in names]
+        run_dirs = [os.path.join(out_dir, config.run_name)
+                    for config in configs]
         for run_dir in run_dirs:
             os.makedirs(run_dir, exist_ok=True)
     train = data["train"]
@@ -455,20 +465,15 @@ def _run_group(system, arch, cell_cfg, seeds, data, lb, lf, out_dir,
     except Exception as exc:   # a failed run is a record, not a crash
         results = [exc] * len(seeds)
     records = []
-    for cfg, name, run_dir, result in zip(cfgs, names, run_dirs, results):
+    for config, run_dir, result in zip(configs, run_dirs, results):
         if isinstance(result, DivergenceError):
-            record = RunRecord(config={"train": asdict(cfg)}, error=str(result))
+            result = RunRecord(None, error=str(result))
         elif isinstance(result, Exception):
-            record = RunRecord(config={"train": asdict(cfg)},
-                               error=f"{type(result).__name__}: {result}")
-        else:
-            record = result
-        record.config.update({"run_name": name, "system": system, "arch": arch,
-                              "lam": cfg.lam, "seed": cfg.seed, "lb": lb,
-                              "lf": lf, "data_seed": data_seed})
+            result = RunRecord(None, error=f"{type(result).__name__}: {result}")
+        result.config = config
         if run_dir is not None:
-            save_run(record, run_dir, data["manifests"])
-        records.append(record)
+            save_run(result, run_dir, data["manifests"])
+        records.append(result)
     return records
 
 
@@ -565,9 +570,6 @@ def save_run(record, run_dir, dataset_manifests):
     """Persist a run's record and dataset manifests as JSON + CSV trace."""
     os.makedirs(run_dir, exist_ok=True)
     doc = record.to_dict()
-    if doc.get("checkpoint_path"):
-        # relative to the run dir, so artifacts are path-independent
-        doc["checkpoint_path"] = os.path.basename(doc["checkpoint_path"])
     doc["datasets"] = dataset_manifests
     write_json(doc, os.path.join(run_dir, "record.json"))
     with open_atomic(os.path.join(run_dir, "losses.csv")) as fh:
@@ -578,18 +580,20 @@ def save_run(record, run_dir, dataset_manifests):
             fh.write(f"{e},{tr:.17g},{vl:.17g},{lr:.17g}\n")
 
 
-# The keys of a record that eval reads, and what each must hold
-_RECORD_KEYS = {
-    "config": "object", "config.train": "object", "error": "string or null",
-    "config.system": "string", "config.arch": "string",
-    "config.lam": "number", "config.lb": "integer", "config.lf": "integer",
-    "config.data_seed": "integer", "config.train.lags": "integer",
-    "config.train.dropout": "number",
-}
+# What a record.json holds: RunRecord's fields, as save_run writes them
+_RECORD_KEYS = {"format_version": "integer", **fields_schema(RunRecord)}
 
 
 def load_run(run_dir):
-    """A run dir's record.  A document that is not an object, or lacks or
-    mistypes a key that eval reads, raises :class:`ConfigError` naming the
-    file and the key."""
-    return read_json(os.path.join(run_dir, "record.json"), _RECORD_KEYS)
+    """The RunRecord that :func:`save_run` wrote to ``run_dir``.  A missing
+    or mistyped key, another format_version, or a train config that
+    TrainConfig refuses raises :class:`ConfigError` naming the file."""
+    path = os.path.join(run_dir, "record.json")
+    doc = read_json(path, _RECORD_KEYS)
+    if doc["format_version"] != RECORD_FORMAT_VERSION:
+        raise ConfigError(f"{path}: unsupported record format_version "
+                          f"{doc['format_version']!r}")
+    try:
+        return from_fields(RunRecord, doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: config.train: {exc}") from None

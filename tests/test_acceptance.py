@@ -65,7 +65,7 @@ def _state_margins(ratios, channels, cap):
 
 def _eval_arm(records, data):
     for rec in records:
-        assert rec.error is None, f"run {rec.config.get('run_name')} failed: {rec.error}"
+        assert rec.error is None, f"run {rec.config.run_name} failed: {rec.error}"
     return [
         {
             "interp": evaluate(rec.model, data["val"], lags=5),
@@ -86,7 +86,7 @@ def pendulum_matrix():
                           jobs=len(SEEDS))
         by_lam = {}
         for rec in recs:
-            by_lam.setdefault(rec.config["lam"], []).append(rec)
+            by_lam.setdefault(rec.config.train.lam, []).append(rec)
         out[arch] = {
             "base": _eval_arm(by_lam[0.0], data),
             "ljb": _eval_arm(by_lam[lam], data),
@@ -103,7 +103,7 @@ def double_pendulum_runs():
     reports = {}
     for rec in recs:
         assert rec.error is None, rec.error
-        reports[rec.config["lam"]] = evaluate(rec.model, data["val"], lags=5)
+        reports[rec.config.train.lam] = evaluate(rec.model, data["val"], lags=5)
     return reports
 
 
@@ -125,7 +125,7 @@ def backlash_arms():
         for rec in recs:
             assert rec.error is None, rec.error
         out[name] = [
-            evaluate(rec.model, data["extrap"], lags=5, run_id=f"{name}_seed{rec.config['seed']}",
+            evaluate(rec.model, data["extrap"], lags=5, run_id=f"{name}_seed{rec.config.train.seed}",
                      dataset_id="backlash_extrap", config_id=f"backlash_rnn_{name}")
             for rec in recs
         ]

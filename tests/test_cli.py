@@ -72,6 +72,22 @@ def test_simulate_negative_seed_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("system, flag, key", [
+    ("pendulum", "--amplitude", "amplitude"),
+    ("pendulum", "--noise", "noise_sigma"),
+    ("double_pendulum", "--init-jitter", "init_jitter"),
+])
+def test_simulate_non_finite_float_is_usage_error(tmp_path, capsys, system,
+                                                  flag, key, value):
+    # a nan amplitude made --out, then exited 1
+    out = tmp_path / "sim"
+    assert main(["simulate", "--system", system, flag, value, "--steps", "20",
+                 "--out", str(out)]) == 2
+    assert f"{key} must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_flags_the_system_reads_are_recorded(tmp_path):
     for system, flag, key, value in (
             ("double_pendulum", "--init-jitter", "init_jitter", 0.5),
@@ -521,6 +537,14 @@ def _add_spec_key(doc):
     doc["layer_specs"][0]["width"] = 3
 
 
+def _kind_as_list(doc):
+    doc["layer_specs"][0]["kind"] = ["dense"]
+
+
+def _kind_as_object(doc):
+    doc["layer_specs"][0]["kind"] = {"dense": 1}
+
+
 def _eval_spoiled(tmp_path, capsys, one_epoch_run, fname, spoil, key):
     # the spoiled run dir comes after a good one, whose reports it used to
     # leave behind
@@ -544,6 +568,8 @@ def _eval_spoiled(tmp_path, capsys, one_epoch_run, fname, spoil, key):
     (_shorten_first_row, "layer1.W"),     # numpy's "inhomogeneous shape"
     (_drop_layer_specs, "layer_specs"),   # a KeyError traceback
     (_add_spec_key, "width"),             # a TypeError traceback
+    (_kind_as_list, "layer kind"),        # a TypeError traceback
+    (_kind_as_object, "layer kind"),      # a TypeError traceback
 ])
 def test_eval_spoiled_checkpoint_exits_1_naming_file_and_key(
         tmp_path, capsys, one_epoch_run, spoil, key):
@@ -571,12 +597,32 @@ def _error_as_number(doc):
     doc["error"] = 1
 
 
+def _format_version_1(doc):
+    doc["format_version"] = 1
+
+
+def _set_train(key, value):
+    def spoil(doc):
+        doc["config"]["train"][key] = value
+    return spoil
+
+
+def _drop_lags(doc):
+    del doc["config"]["train"]["lags"]
+
+
 @pytest.mark.parametrize("spoil, key", [
     (_drop_lb, "config.lb"),                 # was a KeyError traceback
     (_lb_as_text, "config.lb"),              # a TypeError traceback
     (_config_as_list, "config"),             # a TypeError traceback
     (_fractional_lags, "config.train.lags"),  # a TypeError traceback
     (_error_as_number, "error"),
+    (_format_version_1, "format_version 1"),
+    # each of these three exited 0
+    (_set_train("dropout", -1), "dropout"),
+    (_set_train("dropout", 3), "dropout"),
+    (_set_train("lam", -1), "lam"),
+    (_drop_lags, "config.train.lags"),
 ])
 def test_eval_spoiled_record_exits_1_naming_file_and_key(
         tmp_path, capsys, one_epoch_run, spoil, key):

@@ -94,7 +94,7 @@ def _train_and_eval(tmp):
             out_dir=runs, jobs=jobs)]
         for rec in records:
             assert rec.ok, rec.error
-            epochs[rec.config["run_name"]] = rec.epochs_run
+            epochs[rec.config.run_name] = rec.epochs_run
         reports = os.path.join(tmp, f"eval{jobs}")
         run_dirs = sorted(os.path.join(runs, d) for d in os.listdir(runs))
         assert main(["eval", *run_dirs, "--aggregate", "--out", reports]) == 0

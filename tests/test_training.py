@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import tracemalloc
 import weakref
@@ -27,6 +26,7 @@ from whitenet.numerics import RngState
 from whitenet.training import (
     _STREAM_SPLIT,
     AdamState,
+    RunConfig,
     RunRecord,
     TrainConfig,
     adam_step,
@@ -208,9 +208,8 @@ def test_fit_checkpoint_written(tmp_path):
     rec = fit(model, train, val,
               TrainConfig(lam=0.0, max_epochs=5, seed=1, dropout=0.0),
               checkpoint_dir=str(tmp_path))
-    assert rec.checkpoint_path == str(tmp_path / "checkpoint.json")
     from whitenet.nn import load_checkpoint
-    loaded, doc = load_checkpoint(rec.checkpoint_path)
+    loaded, doc = load_checkpoint(str(tmp_path / "checkpoint.json"))
     assert doc["best_val_loss"] == rec.best_val_loss
     for a, b in zip(model.params, loaded.params):
         assert np.array_equal(a.value, b.value)
@@ -251,7 +250,7 @@ def test_run_matrix_counts_and_determinism(tmp_path):
     again = run_matrix(**args)
     for a, b in zip(records, again):
         assert a.val_losses == b.val_losses
-        assert a.config["arch"] == b.config["arch"]
+        assert a.config.arch == b.config.arch
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -346,11 +345,7 @@ def test_run_matrix_parallel_matches_serial(tmp_path):
             out, stacked = runs[jobs]
             assert _files(out) == _files(out1)
             for a, b in zip(serial, stacked):
-                da, db = a.to_dict(), b.to_dict()
-                assert os.path.dirname(da.pop("checkpoint_path")) == str(
-                    out1 / a.config["run_name"])
-                db.pop("checkpoint_path")
-                assert da == db
+                assert a.to_dict() == b.to_dict()
                 for p, q in zip(a.model.params, b.model.params):
                     assert _same_bits(p.value, q.value)
 
@@ -571,16 +566,15 @@ def test_run_matrix_fits_without_the_extrap_set(monkeypatch, jobs):
 
 
 def test_save_and_load_run(tmp_path):
-    # load_run refuses a record without the keys that eval reads
-    config = {"system": "pendulum", "arch": "dense", "lam": 1.0, "lb": 10,
-              "lf": 10, "data_seed": 0, "train": asdict(TrainConfig())}
+    config = RunConfig("pendulum_dense_lam1_seed0", "pendulum", "dense", 10,
+                       10, 0, TrainConfig())
     record = RunRecord(config=config, train_losses=[1.0, 0.5],
                        val_losses=[0.9, 0.6], lr_trace=[0.01, 0.01],
                        best_epoch=1, best_val_loss=0.6, epochs_run=2)
     save_run(record, str(tmp_path), {"train": {"n": 10}})
-    doc = load_run(str(tmp_path))
-    assert doc["best_val_loss"] == 0.6
-    assert doc["datasets"]["train"]["n"] == 10
+    assert load_run(str(tmp_path)) == record
+    doc = json.loads((tmp_path / "record.json").read_text())
+    assert doc["datasets"] == {"train": {"n": 10}}
     losses = (tmp_path / "losses.csv").read_text().splitlines()
     assert losses[0] == "epoch,train_loss,val_loss,lr"
     assert len(losses) == 3
