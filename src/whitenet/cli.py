@@ -41,7 +41,7 @@ from .errors import (
     StateError,
 )
 from .evaluation import aggregate, emit, emit_comparison, evaluate
-from .nn import load_checkpoint
+from .nn import build_specs, load_checkpoint
 from .simulators import SYSTEMS, default_params
 from .training import (
     CHECKPOINT_FILE,
@@ -149,11 +149,11 @@ _TRAIN_DEFAULTS = {
 
 
 # The flag of each TrainConfig field and run_matrix argument that one sets;
-# their ConfigErrors name the flag instead
+# their ConfigErrors name the flag instead, but "seed(s)" and "seed list" stay
 _FLAG_OF = {name: "--lambda" if key == "lam" else "--" + key.replace("_", "-")
-            for key, name in [*_TRAIN_FIELDS.items(),
+            for key, name in [*_TRAIN_FIELDS.items(), ("seeds", "seed"),
                               *((k, k) for k in (*_MATRIX_FLAGS, "seeds"))]}
-_FLAG_WORD = re.compile(r"\b(%s)\b" % "|".join(_FLAG_OF))
+_FLAG_WORD = re.compile(r"\b(%s)\b(?!\(| list)" % "|".join(_FLAG_OF))
 
 
 # What each --config key holds: its default's kind (seeds are integers, and
@@ -243,7 +243,7 @@ def _eval_one_dir(run_dir, record, model, data_cache, lags_override):
 
     ``data_cache`` maps a data key to the (interp, extrap) datasets, built
     here on the key's first run.  The train split is never kept: eval does
-    not read it.
+    not read it.  A record whose model is not the checkpoint's is refused.
     """
     config = record.config
     key = _data_key(config)
@@ -253,6 +253,16 @@ def _eval_one_dir(run_dir, record, model, data_cache, lags_override):
         data_cache[key] = (("interp", data["val"]),
                            ("extrap", data["extrap"]))
         del data    # and with it the train split, before any evaluation
+    ds = data_cache[key][0][1]
+    specs, seq_shape = build_specs(config.arch, config.lb, ds.d_in, config.lf,
+                                   ds.d_out, dropout=config.train.dropout)
+    if (specs, seq_shape) != ([layer.spec for layer in model.layers]
+                              + [model.head.spec], model.seq_shape):
+        raise ConfigError(
+            f"{os.path.join(run_dir, 'record.json')}: config.arch "
+            f"{config.arch!r}, config.lb {config.lb}, config.lf {config.lf} "
+            f"and config.train.dropout {config.train.dropout} describe "
+            f"another model than its {CHECKPOINT_FILE} holds")
     lags = config.train.lags if lags_override is None else lags_override
     cid = _config_id(config)
     run_id = os.path.basename(os.path.normpath(run_dir))

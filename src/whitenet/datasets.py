@@ -483,12 +483,18 @@ def fields_schema(cls, prefix=""):
     return schema
 
 
-def from_fields(cls, doc):
-    """The ``cls`` whose fields ``doc`` holds, a document that passed
-    :func:`fields_schema` (``cls``); a dataclass field is built likewise."""
-    return cls(**{f.name: from_fields(f.type, doc[f.name])
-                  if is_dataclass(f.type) else doc[f.name]
-                  for f in fields(cls)})
+def from_fields(cls, doc, key):
+    """The ``cls`` whose fields ``doc``, the object at ``key`` of a file that
+    passed :func:`fields_schema` (``cls``), holds; "" is the whole file.  A
+    dataclass field is built likewise.  A :class:`ConfigError` from an
+    object's own checks names its key: ``config.train: lags must be >= 1``."""
+    values = {f.name: from_fields(f.type, doc[f.name],
+                                  f"{key}.{f.name}".lstrip("."))
+              if is_dataclass(f.type) else doc[f.name] for f in fields(cls)}
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}" if key else str(exc)) from None
 
 
 def _is(value, kind):
@@ -531,17 +537,23 @@ def check_json(doc, schema, where, closed=None):
                               f"{reprlib.repr(value[key])}")
 
 
-def read_json(path, schema, closed=None):
+def read_json(path, schema, closed=None, version=None):
     """Read a JSON artifact and check it against ``schema`` (see
     :func:`check_json`), naming the file in any error.  A file that does
     not parse, as a write cut short leaves it, or that holds ``NaN`` or
     ``Infinity``, which :func:`write_json` never writes, raises
-    :class:`ConfigError` too."""
+    :class:`ConfigError` too, as does a ``format_version`` other than
+    ``version``, when given, which is checked first."""
     with open(path) as fh:
         try:
             doc = json.load(fh, parse_constant=_refuse_constant)
         except ValueError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    if version is not None:
+        check_json(doc, {"format_version": "integer"}, path)
+        if doc["format_version"] != version:
+            raise ConfigError(f"{path}: unsupported format_version "
+                              f"{doc['format_version']}")
     check_json(doc, schema, path, closed)
     return doc
 

@@ -254,17 +254,11 @@ def _emit_acf_csv(report, path):
                                  f"{report.band_mean:.17g}"])
 
 
-# What a report JSON holds: EvalReport's fields, as to_dict writes them
-_REPORT_KEYS = {"format_version": "integer", **fields_schema(EvalReport)}
-
-
 def load_report(path):
-    """The report that ``emit(report, "json", path)`` wrote.  A missing or
-    mistyped key raises :class:`ConfigError` naming the file and the key."""
-    doc = read_json(path, _REPORT_KEYS)
-    if doc["format_version"] != REPORT_FORMAT_VERSION:
-        raise ConfigError(f"{path}: unsupported report format_version "
-                          f"{doc['format_version']!r}")
+    """The report that ``emit(report, "json", path)`` wrote.  A bad key or
+    format_version raises :class:`ConfigError` naming the file."""
+    doc = read_json(path, fields_schema(EvalReport),
+                    version=REPORT_FORMAT_VERSION)
     values = {f.name: doc[f.name] for f in fields(EvalReport)}
     values["channels"] = tuple(values["channels"])
     values.update((name, np.asarray(values[name])) for name in _METRICS)

@@ -598,8 +598,7 @@ def save_checkpoint(model, path, seed=None, epoch=0, best_val_loss=None):
 
 
 # The keys of a checkpoint that load_checkpoint reads
-_CHECKPOINT_KEYS = {"format_version": "integer",
-                    "layer_specs": "list of objects",
+_CHECKPOINT_KEYS = {"layer_specs": "list of objects",
                     "seq_shape": "list of integers or null",
                     "parameters": "object"}
 
@@ -607,16 +606,13 @@ _CHECKPOINT_KEYS = {"format_version": "integer",
 def load_checkpoint(path):
     """Rebuild the model from a checkpoint file; returns (model, doc).
 
-    Contents that do not describe a model (a missing, unknown or mistyped
-    key, or a parameter that is not a numeric array) raise
-    :class:`ConfigError` naming the file and the key; a parameter of the
-    wrong shape raises :class:`ShapeError`.
+    Contents that do not describe a model (another format_version, a
+    missing, unknown or mistyped key, or a parameter that is not a numeric
+    array) raise :class:`ConfigError` naming the file and the key; layer
+    widths below 1 or that do not chain, and a parameter of the wrong
+    shape, raise :class:`ShapeError` naming the file.
     """
-    doc = read_json(path, _CHECKPOINT_KEYS)
-    if doc["format_version"] != CHECKPOINT_FORMAT_VERSION:
-        raise ConfigError(
-            f"{path}: unsupported checkpoint format_version "
-            f"{doc['format_version']!r}")
+    doc = read_json(path, _CHECKPOINT_KEYS, version=CHECKPOINT_FORMAT_VERSION)
     specs, seq_shape = doc["layer_specs"], doc["seq_shape"]
     if seq_shape is not None and len(seq_shape) != 2:
         raise ConfigError(f"{path}: seq_shape must be null or two integers, "
@@ -624,8 +620,8 @@ def load_checkpoint(path):
     try:
         model = Model([spec_from_dict(d) for d in specs], rng=None,
                       seq_shape=seq_shape)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: layer_specs: {exc}") from None
+    except (ConfigError, ShapeError) as exc:
+        raise type(exc)(f"{path}: layer_specs: {exc}") from None
     params = doc["parameters"]
     for p in model.params:
         if p.name not in params:

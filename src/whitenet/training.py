@@ -41,6 +41,7 @@ from .errors import ConfigError, DivergenceError, ShapeError
 from .losses import LossConfig, composite_loss, composite_value
 from .nn import ARCHS, Model, build_specs, save_checkpoint, stack_models
 from .numerics import RngState
+from .simulators import SYSTEMS
 
 # child-stream tags, so the independent consumers never share a stream
 _STREAM_MODEL_INIT = 303
@@ -93,6 +94,9 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.grad_clip <= 0:
             raise ConfigError(f"grad_clip must be > 0, got {self.grad_clip}")
+        if self.seed < 0:
+            # a seed keys a random stream, and keys are non-negative
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def loss_config(self):
         return LossConfig(lam=self.lam, lags=self.lags)
@@ -156,7 +160,10 @@ def adam_step(params, adam, lr, l2=0.0, grad_clip=0.0):
 
 @dataclass
 class RunConfig:
-    """What one run of the matrix trained: its data and its fit."""
+    """What one run of the matrix trained: its data and its fit.  Train and
+    eval both build one, so both refuse, with :class:`ConfigError`, an
+    unknown system or arch, a negative ``data_seed``, ``lb`` or ``lf``
+    below 1, and ``lf`` not above ``train.lags`` (eval's Q lags)."""
 
     run_name: str
     system: str
@@ -166,12 +173,28 @@ class RunConfig:
     data_seed: int
     train: TrainConfig
 
+    def __post_init__(self):
+        for what, name, known in (("system", self.system, SYSTEMS),
+                                  ("architecture", self.arch, ARCHS)):
+            if name not in known:
+                raise ConfigError(f"unknown {what} {name!r}; expected one of "
+                                  f"{', '.join(known)}")
+        if self.data_seed < 0:
+            raise ConfigError(f"data_seed must be >= 0, got {self.data_seed}")
+        for name, value in (("lb", self.lb), ("lf", self.lf)):
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.lf <= self.train.lags:
+            raise ConfigError(
+                f"lf {self.lf} must exceed lags {self.train.lags}: the "
+                f"whiteness statistic needs a residual step past its last lag")
+
 
 @dataclass
 class RunRecord:
     """Everything one fit produced (or the error that ended it)."""
 
-    config: RunConfig   # None in a record that fit returns; run_matrix sets it
+    config: RunConfig   # None in a record that fit returns; set by _run_group
     train_losses: list = field(default_factory=list)
     val_losses: list = field(default_factory=list)
     lr_trace: list = field(default_factory=list)
@@ -432,25 +455,18 @@ def run_name_for(system, arch, lam, seed):
     return f"{system}_{arch}_lam{lam_tag(lam)}_seed{seed}"
 
 
-def _run_group(system, arch, cell_cfg, seeds, data, lb, lf, out_dir,
-               data_seed):
-    """Fit the given seeds of one (system, arch, lambda) cell as one stack."""
-    configs = [RunConfig(run_name_for(system, arch, cell_cfg.lam, seed),
-                         system, arch, lb, lf, data_seed,
-                         replace(cell_cfg, seed=seed)) for seed in seeds]
+def _run_group(configs, data, out_dir):
+    """Fit one cell's runs ``configs``, alike but in seed, as one stack."""
+    run_dirs = [None if out_dir is None else os.path.join(out_dir, c.run_name)
+                for c in configs]
     cfgs = [config.train for config in configs]
-    run_dirs = [None] * len(seeds)
-    if out_dir is not None:
-        run_dirs = [os.path.join(out_dir, config.run_name)
-                    for config in configs]
-        for run_dir in run_dirs:
-            os.makedirs(run_dir, exist_ok=True)
-    train = data["train"]
+    train, cell = data["train"], configs[0]
     try:
-        specs, seq_shape = build_specs(arch, lb, train.d_in, lf, train.d_out,
-                                       dropout=cell_cfg.dropout)
-        models = [Model(specs, RngState(seed).child(_STREAM_MODEL_INIT),
-                        seq_shape=seq_shape) for seed in seeds]
+        specs, seq_shape = build_specs(cell.arch, cell.lb, train.d_in,
+                                       cell.lf, train.d_out,
+                                       dropout=cell.train.dropout)
+        models = [Model(specs, RngState(cfg.seed).child(_STREAM_MODEL_INIT),
+                        seq_shape=seq_shape) for cfg in cfgs]
         if len(models) == 1:
             # one seed trains through fit: perfbench's tracer times fits
             # by that name
@@ -463,7 +479,7 @@ def _run_group(system, arch, cell_cfg, seeds, data, lb, lf, out_dir,
             results = fit_stack(models, train, data["val"], cfgs,
                                 checkpoint_dirs=run_dirs)
     except Exception as exc:   # a failed run is a record, not a crash
-        results = [exc] * len(seeds)
+        results = [exc] * len(configs)
     records = []
     for config, run_dir, result in zip(configs, run_dirs, results):
         if isinstance(result, DivergenceError):
@@ -482,40 +498,26 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=DESK_WINDOW,
                out_dir=None, jobs=1):
     """Cross-product of systems x architectures x lambdas x seeds.
 
-    Datasets are built once per system and shared read-only across runs.
-    Only the train and val sets and the manifests are kept: the
-    extrapolation set is dropped before the first fit, since training never
-    reads it.  The sets are windows of the regime's series, and each batch
-    and validation chunk gathers its windows afresh.  The seeds of each
-    (system, arch, lambda) cell train ``jobs`` at a time as one stacked
-    model (see :func:`fit_stack`); ``jobs=1`` fits them one by one.  Each
-    run's record and checkpoint are the same bits either way.  A stack
-    holds ``jobs`` copies of every activation, so memory grows with
-    ``jobs``; validation runs forward only, in 256-row blocks, and adds
-    their activations but no backward cache.  Failures (divergence
-    included) become error records; the matrix finishes.
-    Results come back in job order, so equal inputs give equal outputs, and
-    with ``out_dir`` set every run leaves a manifest + checkpoint directory.
-    These raise :class:`ConfigError` before any data or directory is made:
-    ``jobs`` below 1; an empty or negative seed; a repeated seed, arch,
-    system or lambda (by :func:`lam_tag`); a negative ``data_seed``; a
-    lambda that ``TrainConfig`` refuses; an unknown arch or system; ``lb``
-    or ``lf`` below 1; ``lf`` not above ``cfg_base.lags``
-    at any lambda, as eval tests whiteness at those lags; and ``lb + lf``
-    over the shortest trajectory of a system's regimes
-    (``regimes_by_system``'s, else :func:`desk_regimes`').
+    Each system's data is built once and shared read-only; its
+    extrapolation set is dropped before the first fit, as training never
+    reads it.  The seeds of each (system, arch, lambda) cell train ``jobs``
+    at a time as one stacked model (see :func:`fit_stack`), which holds
+    ``jobs`` copies of every activation; a run's record and checkpoint are
+    the same bits at any ``jobs``.  A failed run (divergence included)
+    becomes an error record, and the matrix finishes.  Records come back in
+    job order; with ``out_dir`` set each run leaves a directory.
+
+    Before any data or directory is made, every run's :class:`RunConfig`
+    is built, which refuses what one run cannot train on, and these raise
+    :class:`ConfigError`: ``jobs`` below 1, an empty seed list, a seed,
+    arch, system or lambda (by :func:`lam_tag`) given twice, and
+    ``lb + lf`` over a system's shortest trajectory (of
+    ``regimes_by_system``, else :func:`desk_regimes`).
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if not seeds:
         raise ConfigError("nothing to train: the seed list is empty")
-    negative = [s for s in seeds if s < 0]
-    if negative:
-        # a seed keys a random stream, and keys are non-negative
-        raise ConfigError(
-            f"seeds must be >= 0, got {', '.join(map(str, negative))}")
-    if data_seed < 0:
-        raise ConfigError(f"data_seed must be >= 0, got {data_seed}")
     # two runs of one name would write the same run directory; lambdas are
     # named by their tag, which keeps six significant digits
     for what, given in (("seed", seeds), ("lambda", list(map(lam_tag, lams))),
@@ -525,22 +527,15 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=DESK_WINDOW,
             raise ConfigError(f"{what}(s) {', '.join(map(str, repeated))} "
                               f"given more than once")
     cfg_base = TrainConfig() if cfg_base is None else cfg_base
-    cell_cfgs = [replace(cfg_base, lam=lam) for lam in lams]
-    for arch in archs:
-        if arch not in ARCHS:
-            raise ConfigError(f"unknown architecture {arch!r}; expected one "
-                              f"of {', '.join(ARCHS)}")
-    regimes = {}
-    for system in systems:
-        desk = desk_regimes(system, data_seed)   # refuses an unknown system
-        regimes[system] = (regimes_by_system or {}).get(system) or desk
-    for name, value in (("lb", lb), ("lf", lf)):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
-    if lf <= cfg_base.lags:
-        raise ConfigError(
-            f"lf {lf} must exceed lags {cfg_base.lags}: the whiteness "
-            f"statistic needs a residual step past its last lag")
+    # one group per stack, in job order
+    groups = [[RunConfig(run_name_for(system, arch, lam, seed), system, arch,
+                         lb, lf, data_seed,
+                         replace(cfg_base, lam=lam, seed=seed))
+               for seed in seeds[start:start + jobs]]
+              for system in systems for arch in archs for lam in lams
+              for start in range(0, len(seeds), jobs)]
+    regimes = {system: (regimes_by_system or {}).get(system)
+               or desk_regimes(system, data_seed) for system in systems}
     for system in systems:
         steps = min(spec.steps for spec in regimes[system])
         if lb + lf > steps:
@@ -556,13 +551,9 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=DESK_WINDOW,
         del data["extrap"]
         data_by_system[system] = data
     records = []
-    for system in systems:
-        for arch in archs:
-            for cell_cfg in cell_cfgs:
-                for start in range(0, len(seeds), jobs):
-                    records += _run_group(
-                        system, arch, cell_cfg, seeds[start:start + jobs],
-                        data_by_system[system], lb, lf, out_dir, data_seed)
+    for configs in groups:
+        records += _run_group(configs, data_by_system[configs[0].system],
+                              out_dir)
     return records
 
 
@@ -580,20 +571,15 @@ def save_run(record, run_dir, dataset_manifests):
             fh.write(f"{e},{tr:.17g},{vl:.17g},{lr:.17g}\n")
 
 
-# What a record.json holds: RunRecord's fields, as save_run writes them
-_RECORD_KEYS = {"format_version": "integer", **fields_schema(RunRecord)}
-
-
 def load_run(run_dir):
     """The RunRecord that :func:`save_run` wrote to ``run_dir``.  A missing
-    or mistyped key, another format_version, or a train config that
-    TrainConfig refuses raises :class:`ConfigError` naming the file."""
+    or mistyped key, another format_version, or a config that
+    :class:`RunConfig` or :class:`TrainConfig` refuses raises
+    :class:`ConfigError` naming the file and the key."""
     path = os.path.join(run_dir, "record.json")
-    doc = read_json(path, _RECORD_KEYS)
-    if doc["format_version"] != RECORD_FORMAT_VERSION:
-        raise ConfigError(f"{path}: unsupported record format_version "
-                          f"{doc['format_version']!r}")
+    doc = read_json(path, fields_schema(RunRecord),
+                    version=RECORD_FORMAT_VERSION)
     try:
-        return from_fields(RunRecord, doc)
+        return from_fields(RunRecord, doc, "")
     except ConfigError as exc:
-        raise ConfigError(f"{path}: config.train: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None

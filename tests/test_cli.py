@@ -607,6 +607,12 @@ def _set_train(key, value):
     return spoil
 
 
+def _set_config(key, value):
+    def spoil(doc):
+        doc["config"][key] = value
+    return spoil
+
+
 def _drop_lags(doc):
     del doc["config"]["train"]["lags"]
 
@@ -623,6 +629,18 @@ def _drop_lags(doc):
     (_set_train("dropout", 3), "dropout"),
     (_set_train("lam", -1), "lam"),
     (_drop_lags, "config.train.lags"),
+    # RunConfig's and TrainConfig's checks, which train applies too; the
+    # first four exited 1 naming neither the file nor the key, the last two 0
+    (_set_config("data_seed", -1), "config: data_seed must be >= 0"),
+    (_set_config("lb", 0), "config: lb must be >= 1"),
+    (_set_config("lf", 3), "config: lf 3 must exceed lags 5"),
+    (_set_config("system", "bogus"), "config: unknown system 'bogus'"),
+    (_set_config("arch", "x"), "config: unknown architecture 'x'"),
+    (_set_train("seed", -1), "config.train: seed must be >= 0"),
+    # each exited 0: the record describes another model than its
+    # checkpoint holds
+    (_set_config("arch", "rnn"), "config.arch 'rnn'"),
+    (_set_train("dropout", 0.0), "config.train.dropout 0.0"),
 ])
 def test_eval_spoiled_record_exits_1_naming_file_and_key(
         tmp_path, capsys, one_epoch_run, spoil, key):

@@ -259,7 +259,8 @@ def test_run_matrix_counts_and_determinism(tmp_path):
     # numpy's bare ValueError from the random stream
     ({"seeds": [1], "data_seed": -1}, "data_seed must be >= 0, got -1"),
     ({"seeds": []}, "the seed list is empty"),
-    ({"seeds": [2, -1]}, "seeds must be >= 0, got -1"),
+    # TrainConfig's own check, as each run's config is built first
+    ({"seeds": [2, -1]}, "seed must be >= 0, got -1"),
     # trained and succeeded; eval of the run dir was refused later
     ({"lf": 3}, "lf 3 must exceed lags 5"),
     # built the data and wrote a failed run dir
