@@ -237,13 +237,13 @@ def _data_key(config):
     return (config.system, config.lb, config.lf, config.data_seed)
 
 
-def _eval_one_dir(run_dir, record, model, data_cache, lags_override):
-    """Reports (interp, extrap) for one run directory, its ``record`` and
-    its checkpoint's ``model``.
+def _eval_one_dir(run_dir, record, data_cache, lags_override):
+    """Reports (interp, extrap) for one run directory and its ``record``.
 
     ``data_cache`` maps a data key to the (interp, extrap) datasets, built
     here on the key's first run.  The train split is never kept: eval does
-    not read it.  A record whose model is not the checkpoint's is refused.
+    not read it.  The model is the one the record's config builds, and its
+    checkpoint must hold exactly that model.
     """
     config = record.config
     key = _data_key(config)
@@ -256,13 +256,8 @@ def _eval_one_dir(run_dir, record, model, data_cache, lags_override):
     ds = data_cache[key][0][1]
     specs, seq_shape = build_specs(config.arch, config.lb, ds.d_in, config.lf,
                                    ds.d_out, dropout=config.train.dropout)
-    if (specs, seq_shape) != ([layer.spec for layer in model.layers]
-                              + [model.head.spec], model.seq_shape):
-        raise ConfigError(
-            f"{os.path.join(run_dir, 'record.json')}: config.arch "
-            f"{config.arch!r}, config.lb {config.lb}, config.lf {config.lf} "
-            f"and config.train.dropout {config.train.dropout} describe "
-            f"another model than its {CHECKPOINT_FILE} holds")
+    model, _ = load_checkpoint(os.path.join(run_dir, CHECKPOINT_FILE), specs,
+                               seq_shape)
     lags = config.train.lags if lags_override is None else lags_override
     cid = _config_id(config)
     run_id = os.path.basename(os.path.normpath(run_dir))
@@ -290,9 +285,7 @@ def cmd_eval(args):
                 f"{run_dir} and {seen[real]} are the same run directory")
         seen[real] = run_dir
     records = [load_run(run_dir) for run_dir in args.run_dirs]
-    # every run dir is checked, and its checkpoint loaded, before any is
-    # evaluated, so a bad one leaves no reports behind
-    models = []
+    # the checks that need no data come first, for every run dir
     for run_dir, record in zip(args.run_dirs, records):
         lf = record.config.lf
         if args.lags is not None and args.lags >= lf:
@@ -304,17 +297,17 @@ def cmd_eval(args):
         ckpt_path = os.path.join(run_dir, CHECKPOINT_FILE)
         if not os.path.exists(ckpt_path):
             raise StateError(f"missing checkpoint {ckpt_path}")
-        models.append(load_checkpoint(ckpt_path)[0])
     # each data key's datasets are freed after the last run dir that reads
     # them, so run dirs grouped by system hold one system's data at a time.
-    # Every report is formed, and found finite, before any file is written.
+    # Every checkpoint is loaded, and every report formed and found finite,
+    # before any file is written, so a bad run dir leaves no reports behind.
     keys = [_data_key(record.config) for record in records]
     data_cache = {}
     reports_by_dir = []
     with np.errstate(all="ignore"):   # an overflow shows as a non-finite report
         for i, run_dir in enumerate(args.run_dirs):
-            reports = _eval_one_dir(run_dir, records[i], models[i],
-                                    data_cache, args.lags)
+            reports = _eval_one_dir(run_dir, records[i], data_cache,
+                                    args.lags)
             if keys[i] not in keys[i + 1:]:
                 del data_cache[keys[i]]
             for name, rep in reports.items():

@@ -21,7 +21,7 @@ import numpy as np
 
 from .datasets import fields_schema, open_atomic, read_json, write_json
 from .errors import ConfigError, DomainError, ShapeError
-from .losses import LossConfig, ljb_statistic, mse
+from .losses import LossConfig, composite_value, ljb_statistic
 
 REPORT_FORMAT_VERSION = 1
 
@@ -140,7 +140,8 @@ def evaluate(model, ds, lags=5, run_id="", dataset_id="", config_id=""):
     rmse = np.array([math.sqrt(float(np.mean(rm * rm))) for rm in resid])
     std = np.array([float(np.std(rm)) for rm in resid])
     p_value = np.array([chi2_upper_tail(x, lags) for x in ljb])
-    mse_value, _ = mse(pred, targets)
+    # the value alone: at lambda 0 it is bit for bit losses.mse's
+    mse_value = composite_value(pred, targets, LossConfig(lam=0.0))
     return EvalReport(
         config_id=config_id, run_id=run_id, dataset_id=dataset_id,
         channels=ds.target_names, lags=lags, n_samples=ds.n, lf=ds.lf,

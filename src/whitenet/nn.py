@@ -31,11 +31,12 @@ Inner products here are plain BLAS-backed numpy matmuls, over whole
 batches and, in a stacked model, every member at once.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import check_json, fields_schema, read_json, write_json
+from .datasets import read_json, write_json
 from .errors import ConfigError, ShapeError, StateError
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -94,22 +95,8 @@ class DropoutSpec:
     kind: str = "dropout"
 
 
-_SPEC_KINDS = {"dense": DenseSpec, "rnn": RnnSpec, "lstm": LstmSpec, "dropout": DropoutSpec}
-
-
 def spec_to_dict(spec):
     return dict(spec.__dict__)
-
-
-def spec_from_dict(d):
-    """The layer spec ``d`` describes.  A missing, unknown or mistyped key
-    raises :class:`ConfigError` naming it."""
-    kind = d.get("kind")
-    if not isinstance(kind, str) or kind not in _SPEC_KINDS:
-        raise ConfigError(f"unknown layer kind {kind!r}")
-    check_json(d, fields_schema(_SPEC_KINDS[kind]), f"{kind} layer",
-               closed="layer")
-    return _SPEC_KINDS[kind](**d)
 
 
 _ACTIVATIONS = ("tanh", "relu", "linear")
@@ -603,25 +590,31 @@ _CHECKPOINT_KEYS = {"layer_specs": "list of objects",
                     "parameters": "object"}
 
 
-def load_checkpoint(path):
-    """Rebuild the model from a checkpoint file; returns (model, doc).
+def load_checkpoint(path, specs, seq_shape):
+    """The model ``specs`` and ``seq_shape`` describe, with the weights of
+    the checkpoint at ``path``; returns (model, doc).
 
-    Contents that do not describe a model (another format_version, a
-    missing, unknown or mistyped key, or a parameter that is not a numeric
-    array) raise :class:`ConfigError` naming the file and the key; layer
-    widths below 1 or that do not chain, and a parameter of the wrong
-    shape, raise :class:`ShapeError` naming the file.
+    The file must hold that model.  Before anything is allocated, the first
+    of its ``layer_specs[i]`` and ``seq_shape`` that is not, as a JSON
+    value, the expected one raises :class:`ConfigError` naming the file and
+    both values.  So do another format_version and a missing or mistyped
+    key or parameter; a parameter of the wrong shape is a
+    :class:`ShapeError` naming the file.
     """
     doc = read_json(path, _CHECKPOINT_KEYS, version=CHECKPOINT_FORMAT_VERSION)
-    specs, seq_shape = doc["layer_specs"], doc["seq_shape"]
-    if seq_shape is not None and len(seq_shape) != 2:
-        raise ConfigError(f"{path}: seq_shape must be null or two integers, "
-                          f"got {seq_shape!r}")
-    try:
-        model = Model([spec_from_dict(d) for d in specs], rng=None,
-                      seq_shape=seq_shape)
-    except (ConfigError, ShapeError) as exc:
-        raise type(exc)(f"{path}: layer_specs: {exc}") from None
+    held, built = doc["layer_specs"], [spec_to_dict(s) for s in specs]
+    # one-item lists, or empty past the end of the shorter stack
+    entries = [(f"layer_specs[{i}]", held[i:i + 1], built[i:i + 1])
+               for i in range(max(len(held), len(built)))]
+    entries.append(("seq_shape", [doc["seq_shape"]],
+                    [None if seq_shape is None else list(seq_shape)]))
+    for entry, *values in entries:
+        got, want = (json.dumps(v[0], sort_keys=True) if v else "no layer"
+                     for v in values)
+        if got != want:
+            raise ConfigError(f"{path}: {entry} is {got}, but the run's "
+                              f"config builds {want}")
+    model = Model(specs, None, seq_shape)
     params = doc["parameters"]
     for p in model.params:
         if p.name not in params:

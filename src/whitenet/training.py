@@ -52,6 +52,7 @@ _STREAM_SPLIT = 404
 PLATEAU_THRESHOLD = 1e-6   # absolute val-loss improvement that counts
 CHECKPOINT_FILE = "checkpoint.json"   # a checkpoint's name in its directory
 _VAL_FRACTION = 1.0 / 6.0   # of the interpolation windows (1000 of 6000)
+_LOSS_CHUNK = 2048   # rows per chunk of dataset_loss; fixes the loss's bits
 RECORD_FORMAT_VERSION = 2
 
 
@@ -212,20 +213,20 @@ class RunRecord:
         return {"format_version": RECORD_FORMAT_VERSION, **asdict(self)}
 
 
-def dataset_loss(model, ds, loss_cfg, chunk=2048):
+def dataset_loss(model, ds, loss_cfg):
     """Composite loss of the model over a whole dataset, eval mode, exact.
 
-    Chunked row-wise; both loss terms are means over rows, so the weighted
-    combination equals the single-pass value.  The chunks fix the loss's
-    bits; the forward inside a chunk runs in :meth:`Model.predict`'s smaller
-    row blocks, which give the same bits.  Forward only: ``predict`` builds
-    no backward cache, and the value-only path of the loss builds no
-    gradient arrays.  A stacked model runs every chunk through all its
-    members and gives one loss per member.
+    Chunked row-wise, ``_LOSS_CHUNK`` rows at a time; both loss terms are
+    means over rows, so the weighted combination equals the single-pass
+    value.  The chunks fix the loss's bits; the forward inside a chunk runs
+    in :meth:`Model.predict`'s smaller row blocks, which give the same
+    bits.  Forward only: ``predict`` builds no backward cache, and the
+    value-only path of the loss builds no gradient arrays.  A stacked model
+    runs every chunk through all its members and gives one loss per member.
     """
     total = 0.0
-    for start in range(0, ds.n, chunk):
-        xb, yb = ds.batch(slice(start, start + chunk))
+    for start in range(0, ds.n, _LOSS_CHUNK):
+        xb, yb = ds.batch(slice(start, start + _LOSS_CHUNK))
         pred = model.predict(xb)
         total += composite_value(pred, yb, loss_cfg,
                                  n_channels=ds.d_out) * xb.shape[0]
@@ -455,6 +456,14 @@ def run_name_for(system, arch, lam, seed):
     return f"{system}_{arch}_lam{lam_tag(lam)}_seed{seed}"
 
 
+def _check_window(system, lb, lf, regimes, prefix):
+    """Refuse windows longer than the shortest trajectory of ``regimes``."""
+    steps = min(spec.steps for spec in regimes)
+    if lb + lf > steps:
+        raise ConfigError(f"{prefix}lb + lf = {lb + lf} exceeds the {steps} "
+                          f"steps of a {system} trajectory")
+
+
 def _run_group(configs, data, out_dir):
     """Fit one cell's runs ``configs``, alike but in seed, as one stack."""
     run_dirs = [None if out_dir is None else os.path.join(out_dir, c.run_name)
@@ -537,10 +546,7 @@ def run_matrix(systems, archs, lams, seeds, cfg_base=None, lb=DESK_WINDOW,
     regimes = {system: (regimes_by_system or {}).get(system)
                or desk_regimes(system, data_seed) for system in systems}
     for system in systems:
-        steps = min(spec.steps for spec in regimes[system])
-        if lb + lf > steps:
-            raise ConfigError(f"lb + lf = {lb + lf} exceeds the {steps} "
-                              f"steps of a {system} trajectory")
+        _check_window(system, lb, lf, regimes[system], "")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     data_by_system = {}
@@ -573,13 +579,18 @@ def save_run(record, run_dir, dataset_manifests):
 
 def load_run(run_dir):
     """The RunRecord that :func:`save_run` wrote to ``run_dir``.  A missing
-    or mistyped key, another format_version, or a config that
-    :class:`RunConfig` or :class:`TrainConfig` refuses raises
+    or mistyped key, another format_version, a config that
+    :class:`RunConfig` or :class:`TrainConfig` refuses, or windows longer
+    than the :func:`desk_regimes` trajectories that eval rebuilds raise
     :class:`ConfigError` naming the file and the key."""
     path = os.path.join(run_dir, "record.json")
     doc = read_json(path, fields_schema(RunRecord),
                     version=RECORD_FORMAT_VERSION)
     try:
-        return from_fields(RunRecord, doc, "")
+        record = from_fields(RunRecord, doc, "")
+        config = record.config
+        regimes = desk_regimes(config.system, config.data_seed)
+        _check_window(config.system, config.lb, config.lf, regimes, "config: ")
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    return record

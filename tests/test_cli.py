@@ -547,7 +547,9 @@ def _kind_as_object(doc):
 
 def _eval_spoiled(tmp_path, capsys, one_epoch_run, fname, spoil, key):
     # the spoiled run dir comes after a good one, whose reports it used to
-    # leave behind
+    # leave behind.  The message names the spoiled file, or the file of the
+    # run dir that ``key`` pairs with it.
+    named, key = (fname, key) if isinstance(key, str) else key
     good, run_dir = tmp_path / "good", tmp_path / "spoiled"
     shutil.copytree(one_epoch_run, good)
     shutil.copytree(one_epoch_run, run_dir)
@@ -559,7 +561,7 @@ def _eval_spoiled(tmp_path, capsys, one_epoch_run, fname, spoil, key):
     out = tmp_path / "reports"
     assert main(["eval", str(good), str(run_dir), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: ") and key in err
+    assert err.startswith(f"error: {run_dir / named}: ") and key in err
     assert not out.exists()
 
 
@@ -568,8 +570,12 @@ def _eval_spoiled(tmp_path, capsys, one_epoch_run, fname, spoil, key):
     (_shorten_first_row, "layer1.W"),     # numpy's "inhomogeneous shape"
     (_drop_layer_specs, "layer_specs"),   # a KeyError traceback
     (_add_spec_key, "width"),             # a TypeError traceback
-    (_kind_as_list, "layer kind"),        # a TypeError traceback
-    (_kind_as_object, "layer kind"),      # a TypeError traceback
+    # each a TypeError traceback; a layer spec must be the one the
+    # record's config builds
+    pytest.param(_kind_as_list, 'layer_specs[0] is {"kind": ["dense"]',
+                 id="_kind_as_list-layer kind"),
+    pytest.param(_kind_as_object, 'layer_specs[0] is {"kind": {"dense": 1}',
+                 id="_kind_as_object-layer kind"),
 ])
 def test_eval_spoiled_checkpoint_exits_1_naming_file_and_key(
         tmp_path, capsys, one_epoch_run, spoil, key):
@@ -638,9 +644,23 @@ def _drop_lags(doc):
     (_set_config("arch", "x"), "config: unknown architecture 'x'"),
     (_set_train("seed", -1), "config.train: seed must be >= 0"),
     # each exited 0: the record describes another model than its
-    # checkpoint holds
-    (_set_config("arch", "rnn"), "config.arch 'rnn'"),
-    (_set_train("dropout", 0.0), "config.train.dropout 0.0"),
+    # checkpoint holds, and the checkpoint is named with the first layer
+    # that differs from the one the record's config builds
+    pytest.param(_set_config("arch", "rnn"),
+                 ("checkpoint.json", 'layer_specs[1] is {"activation": '
+                  '"tanh", "in_dim": 40, "kind": "dense", "out_dim": 32}, '
+                  'but the run\'s config builds {"hidden": 24, "in_dim": 4, '
+                  '"kind": "rnn"}'),
+                 id="spoil-config.arch 'rnn'"),
+    pytest.param(_set_train("dropout", 0.0),
+                 ("checkpoint.json", 'layer_specs[0] is {"kind": "dropout", '
+                  '"rate": 0.1}, but the run\'s config builds '
+                  '{"activation": "tanh", "in_dim": 40'),
+                 id="spoil-config.train.dropout 0.0"),
+    # exited 1 from datasets.window, naming neither the file nor the key
+    (_set_config("lb", 10**6),
+     "config: lb + lf = 1000010 exceeds the 519 steps of a pendulum "
+     "trajectory"),
 ])
 def test_eval_spoiled_record_exits_1_naming_file_and_key(
         tmp_path, capsys, one_epoch_run, spoil, key):

@@ -23,7 +23,6 @@ from whitenet.nn import (
     build_specs,
     load_checkpoint,
     save_checkpoint,
-    spec_from_dict,
     spec_to_dict,
     stack_models,
 )
@@ -386,8 +385,8 @@ def test_spec_wiring_checked_at_build(tmp_path):
     doc = json.loads(path.read_text())
     doc["layer_specs"].insert(1, spec_to_dict(DenseSpec(8, 8)))
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError):
-        load_checkpoint(path)
+    with pytest.raises(ConfigError, match=r"layer_specs\[1\]"):
+        load_checkpoint(path, specs, seq_shape)
 
 
 def test_stale_cache_rejected():
@@ -515,20 +514,12 @@ def test_foreign_cache_rejected():
         m2.backward(cache, out)
 
 
-def test_spec_dict_round_trip():
-    for spec in (DenseSpec(3, 4, "relu"), RnnSpec(3, 8), LstmSpec(2, 6),
-                 DropoutSpec(0.25)):
-        assert spec_from_dict(spec_to_dict(spec)) == spec
-    with pytest.raises(ConfigError):
-        spec_from_dict({"kind": "conv", "in_dim": 3})
-
-
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     specs, seq_shape = build_specs("rnn", 4, 3, 2, 2, hidden=6, dropout=0.1)
     model = Model(specs, RngState(42), seq_shape=seq_shape)
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path, seed=42, epoch=5, best_val_loss=0.125)
-    loaded, doc = load_checkpoint(path)
+    loaded, doc = load_checkpoint(path, specs, seq_shape)
     assert doc["seed"] == 42
     assert doc["epoch"] == 5
     for a, b in zip(model.params, loaded.params):
@@ -538,6 +529,45 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     model.set_mode("eval")
     loaded.set_mode("eval")
     assert np.array_equal(model.forward(x)[0], loaded.forward(x)[0])
+
+
+def test_checkpoint_must_hold_the_model_it_is_loaded_as(tmp_path):
+    # the first entry that differs is named with both values, as JSON
+    specs, seq_shape = build_specs("rnn", 4, 3, 2, 2, hidden=6, dropout=0.1)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(Model(specs, RngState(1), seq_shape), path)
+    rnn = '{"hidden": 6, "in_dim": 3, "kind": "rnn"}'
+    head = ('{"activation": "linear", "in_dim": 6, "kind": "dense", '
+            '"out_dim": 4}')
+    for expected, message in [
+        (build_specs("rnn", 4, 3, 2, 2, hidden=7, dropout=0.1),
+         f'layer_specs[1] is {rnn}, but the run\'s config builds '
+         '{"hidden": 7, "in_dim": 3, "kind": "rnn"}'),
+        (build_specs("lstm", 4, 3, 2, 2, hidden=6, dropout=0.1),
+         f'layer_specs[1] is {rnn}, but the run\'s config builds '
+         '{"hidden": 6, "in_dim": 3, "kind": "lstm"}'),
+        (build_specs("rnn", 4, 3, 2, 2, hidden=6),
+         'layer_specs[0] is {"kind": "dropout", "rate": 0.1}, but the '
+         f'run\'s config builds {rnn}'),
+        ((specs + [DenseSpec(4, 4, "linear")], seq_shape),
+         'layer_specs[3] is no layer, but the run\'s config builds '
+         '{"activation": "linear", "in_dim": 4, "kind": "dense", '
+         '"out_dim": 4}'),
+        ((specs[:2], seq_shape),
+         f'layer_specs[2] is {head}, but the run\'s config builds no layer'),
+        (build_specs("rnn", 5, 3, 2, 2, hidden=6, dropout=0.1),
+         "seq_shape is [4, 3], but the run's config builds [5, 3]"),
+    ]:
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(path, *expected)
+        assert str(exc.value) == f"{path}: {message}"
+    # equal as JSON values: a float width is not the integer one
+    doc = json.loads(path.read_text())
+    doc["layer_specs"][1]["hidden"] = 6.0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError,
+                       match=r'layer_specs\[1\] is .*"hidden": 6.0'):
+        load_checkpoint(path, specs, seq_shape)
 
 
 def test_checkpoint_refuses_a_non_finite_value(tmp_path):
@@ -552,8 +582,8 @@ def test_checkpoint_refuses_a_non_finite_value(tmp_path):
 def test_checkpoint_version_guard(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"format_version": 999}))
-    with pytest.raises(ConfigError):
-        load_checkpoint(path)
+    with pytest.raises(ConfigError, match="unsupported format_version 999"):
+        load_checkpoint(path, *build_specs("dense", 4, 3, 2, 2))
 
 
 def test_build_specs_desk_defaults():

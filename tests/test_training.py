@@ -209,7 +209,8 @@ def test_fit_checkpoint_written(tmp_path):
               TrainConfig(lam=0.0, max_epochs=5, seed=1, dropout=0.0),
               checkpoint_dir=str(tmp_path))
     from whitenet.nn import load_checkpoint
-    loaded, doc = load_checkpoint(str(tmp_path / "checkpoint.json"))
+    loaded, doc = load_checkpoint(str(tmp_path / "checkpoint.json"),
+                                  [DenseSpec(6, 3, "linear")], None)
     assert doc["best_val_loss"] == rec.best_val_loss
     for a, b in zip(model.params, loaded.params):
         assert np.array_equal(a.value, b.value)
