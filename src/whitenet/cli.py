@@ -20,6 +20,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -237,6 +238,16 @@ def _data_key(config):
     return (config.system, config.lb, config.lf, config.data_seed)
 
 
+def _report_place(out, run_dir):
+    """Where eval writes ``run_dir``'s reports: the directory, and the
+    prefix of their file names, the run's name unless that directory is
+    the run dir itself."""
+    out_dir = _out_root(out, run_dir)
+    if out_dir == run_dir:
+        return out_dir, ""
+    return out_dir, os.path.basename(os.path.normpath(run_dir)) + "_"
+
+
 def _eval_one_dir(run_dir, record, data_cache, lags_override):
     """Reports (interp, extrap) for one run directory and its ``record``.
 
@@ -297,6 +308,25 @@ def cmd_eval(args):
         ckpt_path = os.path.join(run_dir, CHECKPOINT_FILE)
         if not os.path.exists(ckpt_path):
             raise StateError(f"missing checkpoint {ckpt_path}")
+    # then the pairs: two run dirs whose reports would overwrite each other,
+    # and two runs --aggregate would pool that differ in more than the seed
+    places, pools = {}, {}
+    for run_dir, record in zip(args.run_dirs, records):
+        out_dir, prefix = _report_place(args.out, run_dir)
+        other = places.setdefault((os.path.realpath(out_dir), prefix), run_dir)
+        if other != run_dir:
+            raise UsageError(
+                f"{other} and {run_dir} would write their reports to the "
+                f"same files, {os.path.join(out_dir, prefix)}report_*")
+        config = record.config
+        cid = _config_id(config)
+        pooled = replace(config, run_name="",
+                         train=replace(config.train, seed=0))
+        other, first = pools.setdefault(cid, (run_dir, pooled))
+        if args.aggregate and pooled != first:
+            raise UsageError(
+                f"--aggregate would pool {other} and {run_dir} as {cid}, "
+                f"but their configs differ in more than the seed")
     # each data key's datasets are freed after the last run dir that reads
     # them, so run dirs grouped by system hold one system's data at a time.
     # Every checkpoint is loaded, and every report formed and found finite,
@@ -319,11 +349,8 @@ def cmd_eval(args):
             reports_by_dir.append(reports)
     by_config = {}
     for run_dir, reports in zip(args.run_dirs, reports_by_dir):
-        out_dir = _out_root(args.out, run_dir)
+        out_dir, prefix = _report_place(args.out, run_dir)
         os.makedirs(out_dir, exist_ok=True)
-        prefix = ""
-        if out_dir != run_dir:
-            prefix = os.path.basename(os.path.normpath(run_dir)) + "_"
         for name, rep in reports.items():
             emit(rep, "markdown", os.path.join(out_dir, f"{prefix}report_{name}.md"))
             emit(rep, "json", os.path.join(out_dir, f"{prefix}report_{name}.json"))

@@ -128,8 +128,6 @@ def evaluate(model, ds, lags=5, run_id="", dataset_id="", config_id=""):
         raise ShapeError(
             f"model head width {model.head.spec.out_dim} != target width "
             f"{width}")
-    if ds.lf <= lags:
-        raise DomainError(f"lookforward {ds.lf} must exceed lags {lags}")
     pred = predict(model, ds)
     targets = ds.targets
     d = ds.d_out

@@ -4,10 +4,11 @@ layer-by-layer reverse-mode gradients, written directly in numpy.
 A :class:`Model` is an ordered stack of hidden layers plus a linear ``head``
 producing the flat ``(batch, lookforward * d_out)`` prediction.  The hidden
 layers are dense layers or recurrent cells, never both, with optional
-dropout among them; ``seq_shape`` tells the two apart.  Dense stacks consume
-the flat ``(batch, lookback * d_in)`` window.  Recurrent stacks reshape it
-once to ``(batch, lookback, d_in)`` and unroll over time, after which the
-head maps the final hidden state to all lookforward outputs at once.
+dropout among them; ``seq_shape`` tells the two apart.  The program's stacks
+all come from :func:`build_specs`.  Dense stacks consume the flat
+``(batch, lookback * d_in)`` window.  Recurrent stacks reshape it once to
+``(batch, lookback, d_in)`` and unroll over time, after which the head maps
+the final hidden state to all lookforward outputs at once.
 
 Layers act on the last axes only, so any leading axes pass through.
 :func:`stack_models` uses that: it puts several models' parameters on a
@@ -106,8 +107,6 @@ class Dense:
     """Affine map with tanh/relu/linear activation over the last axis."""
 
     def __init__(self, spec, name, rng):
-        if spec.in_dim <= 0 or spec.out_dim <= 0:
-            raise ShapeError(f"dense dims must be positive, got {spec}")
         if spec.activation not in _ACTIVATIONS:
             raise ConfigError(f"unknown activation {spec.activation!r}")
         self.spec = spec
@@ -154,8 +153,6 @@ class RnnCell:
     """tanh RNN unrolled over the full window; returns all hidden states."""
 
     def __init__(self, spec, name, rng):
-        if spec.in_dim <= 0 or spec.hidden <= 0:
-            raise ShapeError(f"rnn dims must be positive, got {spec}")
         self.spec = spec
         self.wx = _make_param(f"{name}.Wx", (spec.in_dim, spec.hidden), rng,
                               1.0 / np.sqrt(spec.in_dim))
@@ -233,8 +230,6 @@ class LstmCell:
     """
 
     def __init__(self, spec, name, rng):
-        if spec.in_dim <= 0 or spec.hidden <= 0:
-            raise ShapeError(f"lstm dims must be positive, got {spec}")
         self.spec = spec
         hid = spec.hidden
         self.wx = _make_param(f"{name}.Wx", (spec.in_dim, 4 * hid), rng,
@@ -314,8 +309,6 @@ class Dropout:
     drawn from its own stream."""
 
     def __init__(self, spec, name, rng):
-        if not 0.0 <= spec.rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {spec.rate}")
         self.spec = spec
 
     @property
@@ -374,43 +367,23 @@ class Model:
 
     The hidden layers are one family: dense layers when ``seq_shape`` is
     None, recurrent cells when it is ``(lookback, d_in)``, in either case
-    with dropout layers anywhere among them.  Any other stack raises
-    :class:`ConfigError`.
+    with dropout layers anywhere among them.  The program builds its stacks
+    with :func:`build_specs`, and their wiring is not checked again here: a
+    layer handed an input of the wrong width raises :class:`ShapeError` at
+    its first forward.
 
     Weights are drawn uniform in +-1/sqrt(fan-in) from ``rng`` (all zero when
     ``rng`` is None, as a checkpoint load fills them); biases start at zero.
     """
 
     def __init__(self, specs, rng, seq_shape=None):
-        if not specs:
-            raise ConfigError("model needs at least a head layer spec")
         *hidden_specs, head_spec = specs
-        if not isinstance(head_spec, DenseSpec):
-            raise ConfigError("the final layer spec (the head) must be dense")
         self.layers = [_LAYER_CLASSES[spec.kind](spec, f"layer{idx}", rng)
                        for idx, spec in enumerate(hidden_specs)]
         self.head = Dense(head_spec, "head", rng)
         self.seq_shape = tuple(seq_shape) if seq_shape is not None else None
         self.mode = "eval"
         self._forward_token = 0
-        self._check_wiring()
-
-    def _check_wiring(self):
-        weighted = [l for l in self.layers if not isinstance(l, Dropout)]
-        cells = sum(isinstance(l, (RnnCell, LstmCell)) for l in weighted)
-        if 0 < cells < len(weighted):
-            raise ConfigError("a stack holds dense layers or recurrent cells, "
-                              "not both")
-        if bool(cells) != (self.seq_shape is not None):
-            raise ConfigError("recurrent cells need seq_shape=(lookback, d_in), "
-                              "and only they take it")
-        width = None if self.seq_shape is None else self.seq_shape[1]
-        for layer in weighted + [self.head]:
-            if width is not None and layer.spec.in_dim != width:
-                raise ShapeError(
-                    f"layer {layer.params[0].name} expects in_dim "
-                    f"{layer.spec.in_dim}, stack provides {width}")
-            width = layer.spec.out_dim if isinstance(layer, Dense) else layer.spec.hidden
 
     # -- parameters ---------------------------------------------------------
 

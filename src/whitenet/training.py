@@ -37,7 +37,7 @@ from .datasets import (
     split,
     write_json,
 )
-from .errors import ConfigError, DivergenceError, ShapeError
+from .errors import ConfigError, DivergenceError
 from .losses import LossConfig, composite_loss, composite_value
 from .nn import ARCHS, Model, build_specs, save_checkpoint, stack_models
 from .numerics import RngState
@@ -345,15 +345,6 @@ def fit_stack(models, train, val, cfgs, checkpoint_dirs=None):
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ConfigError("the fits of a stack may differ only in their seeds")
-    out_width = train.lf * train.d_out
-    if (train.lb * train.d_in, out_width) != (val.lb * val.d_in,
-                                              val.lf * val.d_out):
-        raise ShapeError("train and val datasets disagree on widths")
-    for model in models:
-        head_width = model.head.spec.out_dim
-        if head_width != out_width:
-            raise ShapeError(
-                f"model head width {head_width} != target width {out_width}")
     loss_cfg = cfg.loss_config()
     n = train.n
     batch = min(cfg.batch, n)

@@ -483,6 +483,50 @@ def test_eval_rejects_one_run_dir_given_twice(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via", ["--out", "WHITENET_OUT"])
+def test_eval_refuses_two_run_dirs_whose_reports_share_files(
+        tmp_path, capsys, monkeypatch, via):
+    # at the parent both were evaluated, and the second run's six reports
+    # overwrote the first's
+    runs = []
+    for name, extra in (("a", []), ("b", ["--lr", "0.05"])):
+        assert _train(tmp_path / name, "--seed", "1", "--epochs", "1",
+                      *extra) == 0
+        runs.append(tmp_path / name / "pendulum_dense_lam1_seed1")
+    capsys.readouterr()
+    out = tmp_path / "rep"
+    argv = ["eval", *map(str, runs)]
+    if via == "--out":
+        argv += ["--out", str(out)]
+    else:
+        monkeypatch.setenv("WHITENET_OUT", str(out))
+    assert main(argv) == 2
+    assert (f"{runs[0]} and {runs[1]} would write their reports to the same "
+            f"files, {out}/pendulum_dense_lam1_seed1_report_*"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--lr", "0.05"), ("--lags", "3")])
+def test_eval_aggregate_refuses_runs_whose_configs_differ_beyond_the_seed(
+        tmp_path, capsys, flag, value):
+    # at the parent --lr runs were pooled into one aggregate, and a --lags
+    # run exited 1 after writing every run's reports
+    assert _train(tmp_path / "a", "--seed", "1", "--epochs", "1") == 0
+    assert _train(tmp_path / "b", "--seed", "2", "--epochs", "1",
+                  flag, value) == 0
+    runs = [tmp_path / "a" / "pendulum_dense_lam1_seed1",
+            tmp_path / "b" / "pendulum_dense_lam1_seed2"]
+    capsys.readouterr()
+    out = tmp_path / "rep"
+    assert main(["eval", *map(str, runs), "--aggregate",
+                 "--out", str(out)]) == 2
+    assert (f"--aggregate would pool {runs[0]} and {runs[1]} as "
+            f"pendulum_dense_lam1_drop, but their configs differ in more "
+            f"than the seed" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fname", ["record.json", "checkpoint.json"])
 def test_eval_truncated_json_exits_1_naming_the_file(tmp_path, capsys, fname):
     # an interrupted write leaves a file cut short; it was a traceback

@@ -7,7 +7,6 @@ import pytest
 
 from whitenet import simulators
 from whitenet.datasets import (
-    NormalizationStats,
     RegimeSpec,
     WindowedDataset,
     build_regime,
@@ -23,7 +22,7 @@ from whitenet.datasets import (
     window,
     write_json,
 )
-from whitenet.errors import ConfigError, CsvParseError, DomainError, ShapeError
+from whitenet.errors import ConfigError, CsvParseError, DomainError
 from whitenet.numerics import RngState
 from whitenet.simulators import Trajectory
 

@@ -359,36 +359,6 @@ def test_forward_shape_checks():
         model.forward(np.zeros(4))
 
 
-def test_spec_wiring_checked_at_build(tmp_path):
-    with pytest.raises(ShapeError):
-        Model([DenseSpec(4, 3), DenseSpec(4, 2, "linear")], RngState(0))
-    with pytest.raises(ConfigError):
-        Model([RnnSpec(3, 8), DenseSpec(8, 2, "linear")], RngState(0))  # no seq_shape
-    with pytest.raises(ConfigError):
-        Model([], RngState(0))
-    with pytest.raises(ConfigError):
-        Model([DenseSpec(4, 3), RnnSpec(3, 8)], RngState(0), seq_shape=(2, 2))
-    # hidden layers are one family: dense layers without seq_shape, or
-    # recurrent cells with it
-    stacks = ([RnnSpec(2, 8), DenseSpec(8, 4), DenseSpec(4, 2, "linear")],
-             [DenseSpec(6, 2), DropoutSpec(0.1), LstmSpec(2, 8),
-              DenseSpec(8, 2, "linear")],
-             [DenseSpec(6, 3), DenseSpec(3, 2, "linear")],
-             [DenseSpec(6, 2, "linear")])
-    for specs in stacks:
-        with pytest.raises(ConfigError):
-            Model(specs, RngState(0), seq_shape=(3, 2))
-    # a checkpoint of a mixed stack is refused as it loads
-    specs, seq_shape = build_specs("rnn", 3, 2, 2, 1, hidden=8)
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(Model(specs, RngState(0), seq_shape), path)
-    doc = json.loads(path.read_text())
-    doc["layer_specs"].insert(1, spec_to_dict(DenseSpec(8, 8)))
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=r"layer_specs\[1\]"):
-        load_checkpoint(path, specs, seq_shape)
-
-
 def test_stale_cache_rejected():
     model = Model(build_specs("dense", 4, 3, 2, 2)[0], RngState(1))
     x = np.zeros((2, 12))
@@ -568,6 +538,19 @@ def test_checkpoint_must_hold_the_model_it_is_loaded_as(tmp_path):
     with pytest.raises(ConfigError,
                        match=r'layer_specs\[1\] is .*"hidden": 6.0'):
         load_checkpoint(path, specs, seq_shape)
+    # a stored rnn stack with a dense layer inserted at index 1
+    specs, seq_shape = build_specs("rnn", 3, 2, 2, 1, hidden=8)
+    save_checkpoint(Model(specs, RngState(0), seq_shape), path)
+    doc = json.loads(path.read_text())
+    doc["layer_specs"].insert(1, spec_to_dict(DenseSpec(8, 8)))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as exc:
+        load_checkpoint(path, specs, seq_shape)
+    assert str(exc.value) == (
+        f'{path}: layer_specs[1] is {{"activation": "tanh", "in_dim": 8, '
+        f'"kind": "dense", "out_dim": 8}}, but the run\'s config builds '
+        f'{{"activation": "linear", "in_dim": 8, "kind": "dense", '
+        f'"out_dim": 2}}')
 
 
 def test_checkpoint_refuses_a_non_finite_value(tmp_path):
